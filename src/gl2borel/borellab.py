@@ -123,16 +123,6 @@ class CindModel:
     def level_hint(self, vectors) -> int:
         return max([v.radius() for v in vectors if not v.is_zero()] + [0]) + 1
 
-    def i1p_gens(self, level: int):
-        gens = [upper_u(self.p, 1)]
-        for u in ci.one_mod_p_unit_gens(self.p, level):
-            gens.append(diag(self.p, u, 1))
-            gens.append(diag(self.p, 1, u))
-        return gens
-
-    def i1_gens(self, level: int):
-        return ci.i1_generators(self.p, level)
-
 
 class PSModel:
     """Principal series attached to a tame character; vectors are level
@@ -202,15 +192,14 @@ class PSModel:
     def level_hint(self, vectors) -> int:
         return max([v.level for v in vectors] + [1])
 
-    def i1p_gens(self, level: int):
-        gens = [upper_u(self.p, 1)]
-        for u in ci.one_mod_p_unit_gens(self.p, level):
-            gens.append(diag(self.p, u, 1))
-            gens.append(diag(self.p, 1, u))
-        return gens
 
-    def i1_gens(self, level: int):
-        return ps.i1_generators_ps(self.p, level)
+def i1p_generators(p: int, level: int) -> list:
+    """Generators of the pro-p Iwahori intersected with P, modulo the level."""
+    gens = [upper_u(p, 1)]
+    for u in ci.one_mod_p_unit_gens(p, level):
+        gens.append(diag(p, u, 1))
+        gens.append(diag(p, 1, u))
+    return gens
 
 
 def compress(f: ps.PSFunction) -> ps.PSFunction:
@@ -298,7 +287,7 @@ def solve_fixed_in_span(model, span_vectors, gens, with_coeffs: bool = False):
     blocks = []
     for g in gens:
         Ag = frame.matrix([model.act(g, v) for v in span_vectors])
-        blocks.append(xf._np_sub_mat(model.field, Ag, A0).T)
+        blocks.append(xf.sub(model.field, Ag, A0).T)
     kern = xf.kernel_codes(model.field, np.concatenate(blocks))
     out = []
     for row in kern:
@@ -321,8 +310,7 @@ def proportionality(model, v, w):
         return None
     field = model.field
     c = field.mul_codes(int(aw[nz[0]]), field.inv_code(int(av[nz[0]])))
-    if np.array_equal(aw, xf._np_scale_row(field, av, c) if field.k == 1
-                      else np.array([field.mul_codes(int(x), c) for x in av], dtype=np.int64)):
+    if np.array_equal(aw, xf.mul(field, av, c)):
         return field.from_code(c)
     # fall back to an exact model comparison (frames may be coarser than truth)
     if model.equal(w, model.scale(field.from_code(c), v)):
@@ -390,7 +378,7 @@ def m_lambda_matrices(p: int):
 
 def i1_fixed_check(model, v, level: int | None = None) -> bool:
     level = level or model.level_hint([v]) + 1
-    return all(model.equal(model.act(g, v), v) for g in model.i1_gens(level))
+    return all(model.equal(model.act(g, v), v) for g in ci.i1_generators(model.p, level))
 
 
 def prop_give(model, w, max_k: int = 6):
@@ -447,9 +435,9 @@ def prop_give(model, w, max_k: int = 6):
 
     # 2. I1-fixed vector inside the (I1 cap P)-span of w1
     level = model.level_hint([w1]) + 1
-    span_gens = model.i1p_gens(level)
+    span_gens = i1p_generators(p, level)
     span, span_words = span_closure(model, [w1], span_gens, with_words=True)
-    fixed = solve_fixed_in_span(model, span, model.i1_gens(level), with_coeffs=True)
+    fixed = solve_fixed_in_span(model, span, ci.i1_generators(p, level), with_coeffs=True)
     if not step("I1-fixed vector in span", bool(fixed), f"span dim {len(span)}"):
         return report
     w2, w2_coeffs = fixed[0]
@@ -852,20 +840,9 @@ def p_eigenvector_space(chi: TorusCharacter, value_of, level: int = 2,
             continue
         A = ps.action_matrix(chi, g, level, n_max)
         R = ps.refine_matrix(chi, level, target, n_max)
-        lamb = value_of(g)
-        Rl = R if lamb == field.one() else _scale_codes_mat(field, R, lamb.code)
-        blocks.append(xf._np_sub_mat(field, A, Rl))
+        blocks.append(xf.sub(field, A, xf.mul(field, R, value_of(g).code)))
     kern = xf.kernel_codes(field, np.concatenate(blocks))
     return [ps.PSFunction(chi, level, row, n_max) for row in kern]
-
-
-def _scale_codes_mat(field, M, code):
-    if field.k == 1:
-        return (M * code) % field.p
-    out = np.zeros_like(M)
-    for idx in np.ndindex(M.shape):
-        out[idx] = field.mul_codes(int(M[idx]), code)
-    return out
 
 
 def hom_case_char_rigidity(p: int = 2, level: int = 2):
@@ -979,9 +956,8 @@ def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
         A = A3[gi]
         block = np.zeros((dim3 * dim3, unknowns), dtype=np.int64)
         for k in range(s_dim):
-            com = xf._np_sub_mat(field,
-                                 xf.mat_mul_codes(field, Wk[k], A),
-                                 xf.mat_mul_codes(field, A, Wk[k]))
+            com = xf.sub(field, xf.mat_mul_codes(field, Wk[k], A),
+                         xf.mat_mul_codes(field, A, Wk[k]))
             block[:, k] = com.ravel()
         for j in range(n_comp):
             r = Binv[len(leads) + j]
@@ -989,9 +965,7 @@ def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
             for a in range(dim3):
                 com = np.zeros((dim3, dim3), dtype=np.int64)
                 com[a, :] = rA
-                Acol = A[:, a]
-                outer = xf._np_outer(field, Acol, r)
-                com = xf._np_sub_mat(field, com, outer)
+                com = xf.sub(field, com, xf.mul(field, A[:, a, None], r[None, :]))
                 block[:, s_dim + a * n_comp + j] = com.ravel()
         rows.append(block)
     system = np.concatenate(rows) if rows else np.zeros((0, unknowns), dtype=np.int64)
@@ -1005,11 +979,10 @@ def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
         M = np.zeros((dim2, dim2), dtype=np.int64)
         for c, M2 in zip(lead, M2_basis):
             if c:
-                M = xf._np_sub_mat(field, M,
-                                   _scale_codes_mat(field, M2, field.neg_code(int(c))))
+                M = xf.add(field, M, xf.mul(field, M2, c))
         diag_code = int(M[0, 0])
         scalar_ok = diag_code != 0 and np.array_equal(
-            M, _scale_codes_mat(field, np.eye(dim2, dtype=np.int64), diag_code))
+            M, xf.mul(field, np.eye(dim2, dtype=np.int64), diag_code))
     check("the line is the identity scalar", scalar_ok)
     status = "pass" if all(c["status"] == "pass" for c in checks) else (
         "inconclusive" if any(c["status"] == "inconclusive" for c in checks) else "fail")

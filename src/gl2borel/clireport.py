@@ -70,12 +70,12 @@ commands:
 
 options:
   --p N           prime (2..13; default 3)
-  --fieldk N      coefficient field extension degree (default 1)
+  --fieldk N      coefficient field extension degree (only the default 1)
   --weight R,M    weight parameters (default 1,0)
-  --char A,B,C,D  torus character i1,i2,s1,s2 (codes; default 0,0,1,1)
+  --char A,B,C,D  torus character i1,i2,s1,s2 (only the default 0,0,1,1)
   --ideal SPEC    Hecke ideal: T, T^n, or T-c (default T)
   --radius N      ball radius (default 2)
-  --level N       principal-series level (default 2)
+  --level N       principal-series level (only the default 2)
   --trials N      sample count for randomized checks (default 100)
   --bound N       recursion bound (default 10)
   --word-length N P-word length for generation (default 4)
@@ -114,25 +114,22 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.p not in xf.SUPPORTED_PRIMES:
             raise UsageError(f"p must be a prime in {xf.SUPPORTED_PRIMES}")
-        if not 1 <= self.fieldk <= 4:
-            raise UsageError("fieldk must be in 1..4")
+        # no suite reads these yet; they stay in the echoed config
+        for name in ("fieldk", "char", "level"):
+            if getattr(self, name) != getattr(RunConfig, name):
+                raise UsageError(f"--{name} is not used by any suite; "
+                                 "only its default is accepted")
         r, m = self.weight
         if not 0 <= r <= self.p - 1:
             raise UsageError(f"weight r out of range 0..{self.p - 1}")
         if not 0 <= m < max(self.p - 1, 1):
             raise UsageError(f"weight m out of range 0..{max(self.p - 2, 0)}")
-        field = Field(self.p, self.fieldk)
-        i1, i2, s1, s2 = self.char
-        if not (0 <= s1 < field.size and 0 <= s2 < field.size) or s1 == 0 or s2 == 0:
-            raise UsageError("character scalars must be nonzero field codes")
         try:
-            ci.HeckeIdeal.parse(field, self.ideal)
+            ci.HeckeIdeal.parse(Field(self.p), self.ideal)
         except ValueError as exc:
             raise UsageError(str(exc))
         if not 0 <= self.radius <= 6:
             raise UsageError("radius must be in 0..6")
-        if not 1 <= self.level <= 4:
-            raise UsageError("level must be in 1..4")
         for name in ("trials", "bound", "word_length", "r_target", "sample_radius"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
@@ -140,16 +137,8 @@ class RunConfig:
             raise UsageError("format must be json or text")
         return self
 
-    def field(self) -> Field:
-        return Field(self.p, self.fieldk)
-
     def the_weight(self) -> Weight:
         return Weight(self.p, *self.weight)
-
-    def the_char(self) -> TorusCharacter:
-        f = self.field()
-        i1, i2, s1, s2 = self.char
-        return TorusCharacter(f, i1, i2, f.from_code(s1), f.from_code(s2))
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -180,6 +169,8 @@ def parse_argv(argv) -> RunConfig:
                     file_values = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read config file: {exc}")
+            if not isinstance(file_values, dict):
+                raise UsageError("config file must hold a JSON object")
             continue
         values[key] = val
 
@@ -196,7 +187,7 @@ def parse_argv(argv) -> RunConfig:
             try:
                 parts = ([int(x) for x in val.split(",")]
                          if isinstance(val, str) else [int(x) for x in val])
-            except (ValueError, AttributeError):
+            except (ValueError, AttributeError, TypeError):
                 raise UsageError(f"cannot parse --{key} value {val!r}")
             need = 2 if key == "weight" else 4
             if len(parts) != need:

@@ -491,13 +491,10 @@ def reduce_mod_rows(field: Field, subspace_rows: np.ndarray):
     U = R[: len(piv)]
 
     def reduce_fn(M):
-        M = np.asarray(M, dtype=np.int64).copy()
-        for ri, pc in enumerate(piv):
-            factors = M[:, pc].copy()
-            if np.any(factors):
-                upd = xf._np_outer(field, factors, U[ri])
-                M = xf._np_sub_mat(field, M, upd)
-        return M
+        # U is fully reduced (each pivot column is zero in the other rows), so
+        # the coefficients of the reduction are the entries of M at the pivots
+        M = np.asarray(M, dtype=np.int64)
+        return xf.sub(field, M, xf.mat_mul_codes(field, M[:, piv], U))
 
     return U, piv, reduce_fn
 
@@ -531,7 +528,7 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
             M = np.zeros((ball.dim, ball.dim), dtype=np.int64)
             for j, b in enumerate(ball.basis_elements()):
                 M[:, j] = ball.coords(act(g, b))
-            diff = xf._np_sub_mat(field, M, eye)
+            diff = xf.sub(field, M, eye)
             blocks.append(reduce_fn(diff.T).T)
         return np.concatenate(blocks)
 

@@ -6,9 +6,14 @@ F_{p^k}, so this module is deliberately small, exact and deterministic:
 integer codes for field elements, first-nonzero pivoting, no floating point.
 
 Elements of F_{p^k} = F_p[x]/(modulus) are coded as integers
-c0 + c1*p + ... + c_{k-1}*p^{k-1}.  Dense solves run on numpy int64 arrays:
-direct mod-p arithmetic for prime fields, lookup tables for small extensions,
-and a plain Python fallback for large extension fields.
+c0 + c1*p + ... + c_{k-1}*p^{k-1}.  The scalar methods of Field are the
+reference arithmetic.  Arrays of codes go through one engine for every field:
+a code splits into its k base-p digits, sums are digitwise mod p, and a
+product is an integer matrix product with the k x k matrix of "multiply by b"
+on the basis 1, x, ..., x^{k-1}, built from x^e mod the modulus for e < 2k-1.
+No other precomputation is kept, so every supported field (q <= 13^4) takes
+the same vectorized path; matrix products over a prime field skip the digit
+split, since there a code is its own digit.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
-
-# lookup tables are built lazily and only for fields up to this size
-_TABLE_LIMIT = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -120,9 +122,14 @@ class Field:
         self.k = k
         self.modulus = modulus
         self.size = p**k
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
+        # array engine data: digit weights p^i, and _mul_op with
+        # digits(b) @ _mul_op = the k x k matrix whose row i is digits(x^i b)
+        self._weights = p ** np.arange(k, dtype=np.int64)
+        xpow = np.zeros((2 * k - 1, k), dtype=np.int64)
+        for e in range(2 * k - 1):
+            for t, c in enumerate(_poly_mod((0,) * e + (1,), modulus, p)):
+                xpow[e, t] = c
+        self._mul_op = xpow[np.add.outer(np.arange(k), np.arange(k))].reshape(k, k * k)
 
     # -- identity / compatibility ------------------------------------------
     def same_as(self, other) -> bool:
@@ -241,26 +248,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self.pow_code(a, self.size - 2)
 
-    # -- lookup tables for vectorized extension-field solves ----------------
-    def _ensure_tables(self):
-        if self._mul_table is not None or self.k == 1:
-            return
-        if self.size > _TABLE_LIMIT:
-            return  # generic slow path stays in charge
-        n = self.size
-        add = np.zeros((n, n), dtype=np.int64)
-        mul = np.zeros((n, n), dtype=np.int64)
-        inv = np.zeros(n, dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                add[a, b] = self.add_codes(a, b)
-                mul[a, b] = self.mul_codes(a, b)
-            if a:
-                inv[a] = self.inv_code(a)
-        self._add_table = add
-        self._mul_table = mul
-        self._inv_table = inv
-
 
 class FieldElem:
     """An element of a Field, identified by its integer code."""
@@ -371,38 +358,68 @@ def field_arith(a: FieldElem, b, op: str) -> FieldElem:
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra on integer-code matrices
+# the array engine: elementwise and matrix arithmetic on int64 code arrays
 # ---------------------------------------------------------------------------
 
-def _vectorized(field: Field) -> bool:
-    if field.k == 1:
-        return True
-    field._ensure_tables()
-    return field._mul_table is not None
+def _digits(field: Field, a) -> np.ndarray:
+    """Codes of shape S -> base-p digits of shape S + (k,), a new array."""
+    d = np.asarray(a, dtype=np.int64)[..., None] // field._weights
+    d %= field.p
+    return d
 
 
-def _np_scale_row(field, row, factor):
-    if field.k == 1:
-        return (row * factor) % field.p
-    if _vectorized(field):
-        return field._mul_table[row, factor]
-    out = np.array(row, dtype=np.int64)
-    for idx in np.ndindex(out.shape):
-        out[idx] = field.mul_codes(int(out[idx]), factor)
-    return out
+def _codes(field: Field, d) -> np.ndarray:
+    """Digit arrays (reduced or not) of shape S + (k,) -> codes of shape S."""
+    return (d % field.p) @ field._weights
 
 
-def _np_neg(field, a):
-    if field.k == 1:
-        return (-a) % field.p
-    if _vectorized(field):
-        neg_one = field.neg_code(1)
-        return field._mul_table[a, neg_one]
-    out = np.array(a, dtype=np.int64)
-    for idx in np.ndindex(out.shape):
-        out[idx] = field.neg_code(int(out[idx]))
-    return out
+def _mul_ops(field: Field, d) -> np.ndarray:
+    """Digits of b, shape S + (k,) -> shape S + (k, k): row i is digits(x^i b)."""
+    k = field.k
+    return (d @ field._mul_op).reshape(d.shape[:-1] + (k, k)) % field.p
 
+
+def add(field: Field, a, b) -> np.ndarray:
+    """Elementwise a + b on broadcastable code arrays."""
+    return _codes(field, _digits(field, a) + _digits(field, b))
+
+
+def sub(field: Field, a, b) -> np.ndarray:
+    """Elementwise a - b on broadcastable code arrays; sub(field, 0, a) = -a."""
+    return _codes(field, _digits(field, a) - _digits(field, b))
+
+
+def mul(field: Field, a, b) -> np.ndarray:
+    """Elementwise a * b on broadcastable code arrays; an outer product is
+    mul(field, col[:, None], row[None, :])."""
+    ops = _mul_ops(field, _digits(field, b))
+    return _codes(field, (_digits(field, a)[..., None, :] @ ops)[..., 0, :])
+
+
+def _matmul(field: Field, A, B) -> np.ndarray:
+    """A (m x n) times B (n x l): one integer product of the digits of A with
+    the multiply-by-B[j, l] matrices (entries stay below n k p^2)."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if field.k == 1:  # a prime-field code is its own digit
+        return A @ B % field.p
+    (m, n), l, k = A.shape, B.shape[1], field.k
+    left = _digits(field, A).reshape(m, n * k)
+    right = _mul_ops(field, _digits(field, B)).transpose(0, 2, 1, 3).reshape(n * k, l * k)
+    return _codes(field, (left @ right).reshape(m, l, k))
+
+
+def mat_vec_codes(field: Field, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _matmul(field, A, np.asarray(x, dtype=np.int64)[:, None])[:, 0]
+
+
+def mat_mul_codes(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return _matmul(field, A, B)
+
+
+# ---------------------------------------------------------------------------
+# dense linear algebra on integer-code matrices
+# ---------------------------------------------------------------------------
 
 def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
     """Reduced row echelon form over the field.
@@ -412,84 +429,35 @@ def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
     With pivot_limit, only the first pivot_limit columns are eliminated
     (the rest are carried along, e.g. an augmented identity block).
     """
-    if not _vectorized(field):
-        return _rref_generic(field, mat, pivot_limit)
-    A = np.array(mat, dtype=np.int64)
-    m, n = A.shape
+    p, k = field.p, field.k
+    A = _digits(field, mat)  # (m, n, k) digit planes, eliminated in place
+    m, n = A.shape[:2]
     stop = n if pivot_limit is None else min(pivot_limit, n)
     pivots = []
     r = 0
     for c in range(stop):
         if r == m:
             break
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(A[r:, c].any(axis=1))
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        inv = field.inv_code(int(A[r, c]))
-        A[r] = _np_scale_row(field, A[r], inv)
+        inv = field.inv_code(int(_codes(field, A[r, c])))
+        # rows r.. vanish left of column c, so only columns c.. change
+        row = A[r, c:] @ _mul_ops(field, _digits(field, inv)) % p
+        A[r, c:] = row
         factors = A[:, c].copy()
         factors[r] = 0
-        if np.any(factors):
-            update = _np_outer(field, factors, A[r])
-            A = _np_sub_mat(field, A, update)
+        if factors.any():
+            block = A[:, c:]  # a view, updated in place
+            block -= (factors @ _mul_ops(field, row).transpose(1, 0, 2).reshape(k, -1)
+                      ).reshape(m, -1, k)
+            block %= p
         pivots.append(c)
         r += 1
-    return A, pivots
-
-
-def _np_outer(field, col, row):
-    if field.k == 1:
-        return (col[:, None] * row[None, :]) % field.p
-    if _vectorized(field):
-        return field._mul_table[col[:, None], row[None, :]]
-    out = np.zeros((len(col), len(row)), dtype=np.int64)
-    for i, c in enumerate(col):
-        for j, r in enumerate(row):
-            out[i, j] = field.mul_codes(int(c), int(r))
-    return out
-
-
-def _np_sub_mat(field, A, B):
-    if field.k == 1:
-        return (A - B) % field.p
-    if _vectorized(field):
-        return field._add_table[A, _np_neg(field, B)]
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    out = np.zeros_like(A)
-    for idx in np.ndindex(A.shape):
-        out[idx] = field.sub_codes(int(A[idx]), int(B[idx]))
-    return out
-
-
-def _rref_generic(field, mat, pivot_limit=None):
-    """Plain-Python fallback for extension fields without lookup tables."""
-    A = [[int(x) for x in row] for row in np.asarray(mat)]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    stop = n if pivot_limit is None else min(pivot_limit, n)
-    pivots = []
-    r = 0
-    for c in range(stop):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if A[i][c]), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = field.inv_code(A[r][c])
-        A[r] = [field.mul_codes(x, inv) for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [field.sub_codes(x, field.mul_codes(f, y)) for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    return np.array(A, dtype=np.int64).reshape(m, n), pivots
+    return A @ field._weights, pivots  # the digits are reduced
 
 
 def kernel_codes(field: Field, mat: np.ndarray) -> np.ndarray:
@@ -499,20 +467,14 @@ def kernel_codes(field: Field, mat: np.ndarray) -> np.ndarray:
         n = A.shape[1] if A.ndim == 2 else 0
         return np.eye(n, dtype=np.int64)
     R, pivots = rref(field, A)
-    n = A.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = field.neg_code(int(R[ri, fc]))
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = sub(field, 0, R[: len(pivots), free].T)
     # normalize leading entries to 1 for reproducible output
-    for bi in range(basis.shape[0]):
-        nz = np.nonzero(basis[bi])[0]
-        lead = int(basis[bi, nz[0]])
-        if lead != 1:
-            basis[bi] = _np_scale_row(field, basis[bi], field.inv_code(lead))
-    return basis
+    leads = basis[np.arange(len(free)), np.argmax(basis != 0, axis=1)]
+    inv = np.array([field.inv_code(int(c)) for c in leads], dtype=np.int64)
+    return mul(field, basis, inv[:, None])
 
 
 def rank_codes(field: Field, mat: np.ndarray) -> int:
@@ -564,31 +526,6 @@ def invert_matrix_codes(field: Field, A: np.ndarray) -> np.ndarray:
     return R[:, n:]
 
 
-def mat_vec_codes(field: Field, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if field.k == 1:
-        return (A @ x) % field.p
-    out = np.zeros(A.shape[0], dtype=np.int64)
-    for i in range(A.shape[0]):
-        acc = 0
-        for j in range(A.shape[1]):
-            acc = field.add_codes(acc, field.mul_codes(int(A[i, j]), int(x[j])))
-        out[i] = acc
-    return out
-
-
-def mat_mul_codes(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    if field.k == 1:
-        return (A @ B) % field.p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for j in range(B.shape[1]):
-        out[:, j] = mat_vec_codes(field, A, B[:, j])
-    return out
-
-
 class CachedSolver:
     """Factor A once and answer A x = b queries with exact certificates.
 
@@ -627,21 +564,18 @@ class IncrementalSpan:
     def __init__(self, field: Field, dim: int):
         self.field = field
         self.width = dim
-        self.rows = []
+        self.rows = np.zeros((0, dim), dtype=np.int64)
         self.leads = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.leads)
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.array(vec, dtype=np.int64)
-        for lead, row in zip(self.leads, self.rows):
-            c = int(vec[lead])
-            if c:
-                upd = _np_scale_row(self.field, row, c)
-                vec = _np_sub_mat(self.field, vec, upd)
-        return vec
+        # every lead column is zero in the other rows, so the coefficients
+        # of the reduction are the entries of vec at the leads
+        vec = np.asarray(vec, dtype=np.int64)
+        return sub(self.field, vec, _matmul(self.field, vec[None, self.leads], self.rows)[0])
 
     def contains(self, vec) -> bool:
         return not np.any(self._reduce(vec))
@@ -649,35 +583,26 @@ class IncrementalSpan:
     def add(self, vec) -> bool:
         """Insert the vector; True when it enlarged the span."""
         v = self._reduce(vec)
-        nz = np.nonzero(v)[0]
+        nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         lead = int(nz[0])
-        v = _np_scale_row(self.field, v, self.field.inv_code(int(v[lead])))
-        for i, row in enumerate(self.rows):
-            c = int(row[lead])
-            if c:
-                self.rows[i] = _np_sub_mat(self.field, row, _np_scale_row(self.field, v, c))
-        self.rows.append(v)
+        v = mul(self.field, v, self.field.inv_code(int(v[lead])))
+        reduced = sub(self.field, self.rows, mul(self.field, self.rows[:, lead, None], v))
+        self.rows = np.concatenate([reduced, v[None, :]])
         self.leads.append(lead)
         return True
 
 
 def matrix_relation_kernel(field: Field, pairs, dim_in: int, dim_out: int):
-    """Basis of {M (dim_out x dim_in) : M A = B M for every (A, B) pair}."""
-    rows = []
-    for A, B in pairs:
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
-        for i in range(dim_out):
-            for j in range(dim_in):
-                row = np.zeros(dim_out * dim_in, dtype=np.int64)
-                for k in range(dim_in):
-                    row[i * dim_in + k] = field.add_codes(int(row[i * dim_in + k]), int(A[k, j]))
-                for l in range(dim_out):
-                    row[l * dim_in + j] = field.sub_codes(int(row[l * dim_in + j]), int(B[i, l]))
-                rows.append(row)
-    kern = kernel_codes(field, np.array(rows, dtype=np.int64))
+    """Basis of {M (dim_out x dim_in) : M A = B M for every (A, B) pair}.
+
+    On M flattened row-major, M A - B M is (kron(I_out, A^T) - kron(B, I_in)) M."""
+    eye_in = np.eye(dim_in, dtype=np.int64)
+    eye_out = np.eye(dim_out, dtype=np.int64)
+    rows = [sub(field, np.kron(eye_out, np.asarray(A, dtype=np.int64).T),
+                np.kron(np.asarray(B, dtype=np.int64), eye_in)) for A, B in pairs]
+    kern = kernel_codes(field, np.concatenate(rows))
     return [k.reshape(dim_out, dim_in) for k in kern]
 
 

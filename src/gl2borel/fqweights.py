@@ -132,19 +132,15 @@ class Weight:
     def i1_fixed_line(self):
         """(v0, (e1, e2)): the line fixed by the pro-p Iwahori and the
         character exponents of the Iwahori torus on it."""
-        p = self.p
         u1 = self.action_matrix(((1, 1), (0, 1)))
         lp = self.action_matrix(((1, 0), (0, 1)))  # lower-u(p) reduces to 1 mod p
         eye = np.eye(self.dim, dtype=np.int64)
-        stacked = np.concatenate([
-            (u1 - eye) % p if self.field.k == 1 else _code_sub(self.field, u1, eye),
-            (lp - eye) % p if self.field.k == 1 else _code_sub(self.field, lp, eye),
-        ])
+        stacked = np.concatenate([xf.sub(self.field, u1, eye), xf.sub(self.field, lp, eye)])
         kern = xf.kernel_codes(self.field, stacked)
         if kern.shape[0] != 1:
             raise RuntimeError("weight model broken: fixed space not a line")
         v0 = kern[0]
-        g = primitive_root(p)
+        g = primitive_root(self.p)
         e1 = self._eigen_exponent(((g, 0), (0, 1)), v0)
         e2 = self._eigen_exponent(((1, 0), (0, g)), v0)
         return [self.field.from_code(int(c)) for c in v0], (e1, e2)
@@ -156,7 +152,7 @@ class Weight:
         out = xf.mat_vec_codes(self.field, self.action_matrix(gbar), v0)
         nz = int(np.nonzero(v0)[0][0])
         lam = self.field.mul_codes(int(out[nz]), self.field.inv_code(int(v0[nz])))
-        if not np.array_equal(out, _scale_codes(self.field, v0, lam)):
+        if not np.array_equal(out, xf.mul(self.field, v0, lam)):
             raise RuntimeError("weight model broken: torus not scalar on fixed line")
         return dlog(p, primitive_root(p), lam)
 
@@ -167,19 +163,6 @@ class Weight:
         }
         return FiniteKModule(self.field, self.dim, gens,
                              provenance=f"weight {self!r} on GL2(F_{self.p}) generators")
-
-
-def _code_sub(field, A, B):
-    out = np.zeros_like(A)
-    for idx in np.ndindex(A.shape):
-        out[idx] = field.sub_codes(int(A[idx]), int(B[idx]))
-    return out
-
-
-def _scale_codes(field, v, lam):
-    if field.k == 1:
-        return (v * lam) % field.p
-    return np.array([field.mul_codes(int(x), lam) for x in v], dtype=np.int64)
 
 
 def weight_action(w: Weight, k: Mat2, v) -> list:
@@ -395,14 +378,8 @@ def iwahori_w0_vector(mod: FiniteKModule, chi: TorusCharacter) -> np.ndarray:
     for lam in range(p):
         g = _mat_mul_residue(((1, lam), (0, 1)), ((0, 1), (1, 0)), p)
         vec = xf.mat_vec_codes(mod.field, mod.residue_action(g), f0)
-        out = _add_codes_vec(mod.field, out, vec)
+        out = xf.add(mod.field, out, vec)
     return out
-
-
-def _add_codes_vec(field, a, b):
-    if field.k == 1:
-        return (a + b) % field.p
-    return np.array([field.add_codes(int(x), int(y)) for x, y in zip(a, b)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +409,7 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
     field = mod.field
     p = field.p
     eye = np.eye(mod.dim, dtype=np.int64)
-    ufix = xf.kernel_codes(field, _code_sub_np(field, mod.gens["u1"], eye))
+    ufix = xf.kernel_codes(field, xf.sub(field, mod.gens["u1"], eye))
     if ufix.shape[0] == 0:
         return IrreducibilityVerdict("inconclusive", detail="no U-fixed vectors")
 
@@ -450,8 +427,8 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
             lam1 = (g**e1).code
             lam2 = (g**e2).code
             stack = np.concatenate([
-                _code_sub_np(field, d1, _scale_mat(field, weye, lam1)),
-                _code_sub_np(field, d2, _scale_mat(field, weye, lam2)),
+                xf.sub(field, d1, xf.mul(field, weye, lam1)),
+                xf.sub(field, d2, xf.mul(field, weye, lam2)),
             ])
             E = xf.kernel_codes(field, stack)
             if E.shape[0] == 0:
@@ -479,21 +456,6 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
         detail=f"irreducible over {field!r} but commutant has dim {cdim}")
 
 
-def _code_sub_np(field, A, B):
-    if field.k == 1:
-        return (A - B) % field.p
-    return _code_sub(field, A, B)
-
-
-def _scale_mat(field, A, lam):
-    if field.k == 1:
-        return (A * lam) % field.p
-    out = np.zeros_like(A)
-    for idx in np.ndindex(A.shape):
-        out[idx] = field.mul_codes(int(A[idx]), lam)
-    return out
-
-
 def _restrict(field, A, basis_rows):
     """Matrix of A on the subspace spanned by basis_rows (must be stable)."""
     img = xf.mat_mul_codes(field, basis_rows, A.T)  # rows = images
@@ -518,15 +480,11 @@ def _enumerate_lines(field, basis_rows):
         for _ in range(e):
             coeffs.append(c % q)
             c //= q
-        vec = np.zeros(basis_rows.shape[1], dtype=np.int64)
-        for ci, row in zip(coeffs, basis_rows):
-            if ci:
-                vec = _add_codes_vec(field, vec, _scale_codes(field, row, ci))
+        vec = xf.mat_vec_codes(field, basis_rows.T, coeffs)
         nz = np.nonzero(vec)[0]
         if nz.size == 0:
             continue
-        lead_inv = field.inv_code(int(vec[nz[0]]))
-        vec = _scale_codes(field, vec, lead_inv)
+        vec = xf.mul(field, vec, field.inv_code(int(vec[nz[0]])))
         key = tuple(int(x) for x in vec)
         if key not in seen:
             seen.add(key)
@@ -543,40 +501,14 @@ def restrict_module(mod: FiniteKModule, basis_rows: np.ndarray) -> FiniteKModule
 
 def commutant_dimension(mod: FiniteKModule) -> int:
     """Dimension of the algebra of matrices commuting with all generators."""
-    field = mod.field
-    n = mod.dim
-    rows = []
-    for A in mod.gens.values():
-        # coefficient of M[k,l] in (A M - M A)[i,j] is A[i,k] d_{lj} - d_{ik} A[l,j]
-        for i in range(n):
-            for j in range(n):
-                row = np.zeros(n * n, dtype=np.int64)
-                for k in range(n):
-                    row[k * n + j] = field.add_codes(int(row[k * n + j]), int(A[i, k]))
-                for l in range(n):
-                    row[i * n + l] = field.sub_codes(int(row[i * n + l]), int(A[l, j]))
-                rows.append(row)
-    kern = xf.kernel_codes(field, np.array(rows, dtype=np.int64))
-    return kern.shape[0]
+    pairs = [(A, A) for A in mod.gens.values()]
+    return len(xf.matrix_relation_kernel(mod.field, pairs, mod.dim, mod.dim))
 
 
 def intertwiner_dimension(field, gens1: dict, gens2: dict, dim1: int, dim2: int) -> int:
     """dim Hom_K(V1, V2) for modules given by matching generator dicts."""
-    rows = []
-    for name in gens1:
-        A1 = np.asarray(gens1[name], dtype=np.int64)
-        A2 = np.asarray(gens2[name], dtype=np.int64)
-        # M A1 = A2 M with M of shape (dim2, dim1); unknowns M[i,j]
-        for i in range(dim2):
-            for j in range(dim1):
-                row = np.zeros(dim2 * dim1, dtype=np.int64)
-                for k in range(dim1):
-                    row[i * dim1 + k] = field.add_codes(int(row[i * dim1 + k]), int(A1[k, j]))
-                for l in range(dim2):
-                    row[l * dim1 + j] = field.sub_codes(int(row[l * dim1 + j]), int(A2[i, l]))
-                rows.append(row)
-    kern = xf.kernel_codes(field, np.array(rows, dtype=np.int64))
-    return kern.shape[0]
+    pairs = [(gens1[name], gens2[name]) for name in gens1]
+    return len(xf.matrix_relation_kernel(field, pairs, dim1, dim2))
 
 
 def all_stable_subspaces(mod: FiniteKModule):

@@ -16,8 +16,8 @@ import numpy as np
 from . import exactfield as xf
 from .exactfield import FieldElem
 from .fqweights import TorusCharacter
-from .padicmat import Mat2, PadicRational, diag, lower_u, s_mat, t_mat, upper_u
-from .compactind import one_mod_p_unit_gens
+from .padicmat import Mat2, PadicRational, lower_u, s_mat, t_mat, upper_u
+from .compactind import i1_generators
 
 DEFAULT_N_MAX = 4
 
@@ -106,12 +106,7 @@ class PSFunction:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        if self.field.k == 1:
-            table = (a.table + b.table) % self.field.p
-        else:
-            table = np.array([self.field.add_codes(int(x), int(y))
-                              for x, y in zip(a.table, b.table)], dtype=np.int64)
-        return PSFunction(self.chi, a.level, table, self.n_max)
+        return PSFunction(self.chi, a.level, xf.add(self.field, a.table, b.table), self.n_max)
 
     def __neg__(self):
         return self.scale(self.field.from_int(-1))
@@ -121,12 +116,7 @@ class PSFunction:
 
     def scale(self, c) -> "PSFunction":
         c = self.field.el(c) if not isinstance(c, FieldElem) else c
-        if self.field.k == 1:
-            table = (self.table * c.code) % self.field.p
-        else:
-            table = np.array([self.field.mul_codes(int(x), c.code) for x in self.table],
-                             dtype=np.int64)
-        return PSFunction(self.chi, self.level, table, self.n_max)
+        return PSFunction(self.chi, self.level, xf.mul(self.field, self.table, c.code), self.n_max)
 
     def __eq__(self, other):
         if not isinstance(other, PSFunction):
@@ -212,14 +202,6 @@ def make_phi2(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> PSFunction:
     return out
 
 
-def i1_generators_ps(p: int, level: int) -> list:
-    gens = [upper_u(p, 1), lower_u(p, p)]
-    for u in one_mod_p_unit_gens(p, level):
-        gens.append(diag(p, u, 1))
-        gens.append(diag(p, 1, u))
-    return gens
-
-
 def basis_functions(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX):
     p = chi.p
     dim = p**N + p ** (N - 1)
@@ -245,9 +227,9 @@ def i1_invariants(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX) -> li
     field = chi.field
     eye = np.eye(chi.p**N + chi.p ** (N - 1), dtype=np.int64)
     blocks = []
-    for g in i1_generators_ps(chi.p, N):
+    for g in i1_generators(chi.p, N):
         M = action_matrix(chi, g, N, n_max)
-        blocks.append(xf._np_sub_mat(field, M, eye))
+        blocks.append(xf.sub(field, M, eye))
     kern = xf.kernel_codes(field, np.concatenate(blocks))
     return [PSFunction(chi, N, row, n_max) for row in kern]
 
@@ -315,22 +297,13 @@ class DetSplitting:
     def to_steinberg(self, f: PSFunction) -> PSFunction:
         """Pointwise division by psi(det): lands in the trivial-character
         series, intertwining the action up to the psi(det g) twist."""
-        p = self.chi.p
         field = self.chi.field
-        table = []
-        for i, pt in enumerate(ps_points(p, f.level)):
-            fac = self.psi_hat(point_rep(p, pt).det()).inv()
-            table.append(field.mul_codes(int(f.table[i]), fac.code))
-        return PSFunction(self.trivial, f.level, np.array(table, dtype=np.int64), self.n_max)
+        inv = [field.inv_code(int(c)) for c in self.det_function(f.level).table]
+        return PSFunction(self.trivial, f.level, xf.mul(field, f.table, inv), self.n_max)
 
     def from_steinberg(self, f: PSFunction) -> PSFunction:
-        p = self.chi.p
-        field = self.chi.field
-        table = []
-        for i, pt in enumerate(ps_points(p, f.level)):
-            fac = self.psi_hat(point_rep(p, pt).det())
-            table.append(field.mul_codes(int(f.table[i]), fac.code))
-        return PSFunction(self.chi, f.level, np.array(table, dtype=np.int64), self.n_max)
+        table = xf.mul(self.chi.field, f.table, self.det_function(f.level).table)
+        return PSFunction(self.chi, f.level, table, self.n_max)
 
 
 def split_for_det_character(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> DetSplitting:

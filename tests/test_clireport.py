@@ -123,11 +123,24 @@ def test_text_format_fail_marker_once_per_failing_check():
     assert text.count("INCONCLUSIVE") == 1
 
 
-def test_cli_usage_exit_64():
+def test_cli_usage_exit_64(tmp_path):
     code, out, err = run_inproc("hecke", "--p", "7", "--weight", "9,0")
     assert code == 64 and out == b"" and "usage" in err
     code, _, err = run_inproc("nonsense")
     assert code == 64 and "usage" in err
+    # malformed config files: a list at top level, wrongly typed weight/char
+    for i, content in enumerate(('[1, 2]', '{"weight": 5}', '{"char": [0, null, 1, 1]}')):
+        cfgfile = tmp_path / f"bad{i}.json"
+        cfgfile.write_text(content)
+        code, out, err = run_inproc("identities", "--trials", "1", "--config", str(cfgfile))
+        assert code == 64 and out == b"" and "usage" in err, content
+    # flags no suite reads are rejected unless left at their defaults
+    for flag, value in (("--fieldk", "2"), ("--char", "1,0,1,1"), ("--level", "3")):
+        code, out, err = run_inproc("pseries", "--trials", "1", flag, value)
+        assert code == 64 and out == b"" and flag in err and "usage" in err
+    code, _, _ = run_inproc("identities", "--trials", "1", "--fieldk", "1",
+                            "--char", "0,0,1,1", "--level", "2")
+    assert code == 0
 
 
 def test_cli_runs_and_exit_zero():

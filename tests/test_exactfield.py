@@ -2,18 +2,32 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2borel.exactfield import (
     CachedSolver,
     Field,
     IncrementalSpan,
+    add,
     field_arith,
     kernel_codes,
+    mat_mul_codes,
+    mat_vec_codes,
     matrix_relation_kernel,
+    mul,
     rank_codes,
     rref,
     solve_codes,
     solve_linear,
+    sub,
+)
+from gl2borel.fqweights import (
+    TorusCharacter,
+    Weight,
+    commutant_dimension,
+    induce_from_iwahori,
+    intertwiner_dimension,
 )
 
 
@@ -158,14 +172,16 @@ def test_incremental_span():
 
 
 def test_matrix_relation_kernel_commutant():
-    # the commutant of a cyclic permutation plus a generic diagonal is scalar
-    F = Field(5)
+    # the commutant of a cyclic permutation plus a diagonal with distinct
+    # entries (1, 2, 3 in F5; 1, x, x + 1 in F4) is scalar
     P = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
     D = np.diag([1, 2, 3]).astype(np.int64)
-    basis = matrix_relation_kernel(F, [(P, P), (D, D)], 3, 3)
-    assert len(basis) == 1
-    M = basis[0]
-    assert np.array_equal(M, M[0, 0] * np.eye(3, dtype=np.int64) % 5)
+    for F in (Field(5), Field(2, 2)):
+        basis = matrix_relation_kernel(F, [(P, P), (D, D)], 3, 3)
+        assert len(basis) == 1
+        M = basis[0]
+        assert np.array_equal(M, mul(F, np.eye(3, dtype=np.int64), M[0, 0]))
+        assert np.array_equal(mat_mul_codes(F, M, D), mat_mul_codes(F, D, M))
 
 
 def test_rref_determinism_and_rank():
@@ -180,3 +196,134 @@ def test_rref_determinism_and_rank():
     B = np.array([[1, 2, 0], [2, 1, 1], [0, 0, 1]], dtype=np.int64)  # det = -3
     assert rank_codes(F, B) == 2
     assert kernel_codes(F, B).shape[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the array engine against the scalar reference arithmetic
+# ---------------------------------------------------------------------------
+
+ALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3, 4)]
+
+
+def _ref_mat_mul(F, A, B):
+    """Entry-by-entry product with the scalar Field methods."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for t in range(A.shape[1]):
+                acc = F.add_codes(acc, F.mul_codes(int(A[i, t]), int(B[t, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_engine_matches_scalar_reference(p, k):
+    F = Field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    a = rng.integers(0, F.size, size=60)
+    b = rng.integers(0, F.size, size=60)
+    a[:3] = [0, 1, F.size - 1]
+    b[:3] = [F.size - 1, 0, 1]
+    assert add(F, a, b).tolist() == [F.add_codes(int(x), int(y)) for x, y in zip(a, b)]
+    assert sub(F, a, b).tolist() == [F.sub_codes(int(x), int(y)) for x, y in zip(a, b)]
+    assert mul(F, a, b).tolist() == [F.mul_codes(int(x), int(y)) for x, y in zip(a, b)]
+    assert sub(F, 0, a).tolist() == [F.neg_code(int(x)) for x in a]
+    outer = mul(F, a[:7, None], b[None, :5])
+    assert outer.tolist() == [[F.mul_codes(int(x), int(y)) for y in b[:5]] for x in a[:7]]
+    A = rng.integers(0, F.size, size=(4, 6))
+    B = rng.integers(0, F.size, size=(6, 3))
+    assert np.array_equal(mat_mul_codes(F, A, B), _ref_mat_mul(F, A, B))
+    assert np.array_equal(mat_vec_codes(F, A, B[:, 0]), _ref_mat_mul(F, A, B[:, :1])[:, 0])
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 3), (7, 4), (11, 3), (13, 4)])
+def test_engine_products_match_sympy_galoistools(p, k):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem, gf_strip
+
+    F = Field(p, k)
+    modulus = [int(c) for c in reversed(F.modulus)]  # galoistools: leading first
+
+    def poly(code):
+        return gf_strip([code // p**i % p for i in reversed(range(k))])
+
+    def code(poly_big_endian):
+        return sum(int(c) * p**i for i, c in enumerate(reversed(poly_big_endian)))
+
+    rng = random.Random(p + k)
+    a = [rng.randrange(F.size) for _ in range(40)]
+    b = [rng.randrange(F.size) for _ in range(40)]
+    want = [code(gf_rem(gf_mul(poly(x), poly(y), p, ZZ), modulus, p, ZZ)) for x, y in zip(a, b)]
+    assert mul(F, a, b).tolist() == want
+
+
+def _ref_relation_kernel_dim(F, pairs, dim_in, dim_out):
+    """dim {M : M A = B M}, the system built entry by entry with scalars."""
+    rows = []
+    for A, B in pairs:
+        for i in range(dim_out):
+            for j in range(dim_in):
+                row = [0] * (dim_out * dim_in)
+                for t in range(dim_in):
+                    row[i * dim_in + t] = F.add_codes(row[i * dim_in + t], int(A[t, j]))
+                for t in range(dim_out):
+                    row[t * dim_in + j] = F.sub_codes(row[t * dim_in + j], int(B[i, t]))
+                rows.append(row)
+    return dim_out * dim_in - rank_codes(F, np.array(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_module_dimensions_match_scalar_system(p):
+    fields = [Field(p), Field(p, 2)]
+    weights = [Weight(p, r, m, field=F) for F in fields
+               for r in range(p) for m in range(max(p - 1, 1))]
+    for w in weights:
+        mod = w.k_module()
+        pairs = [(A, A) for A in mod.gens.values()]
+        assert commutant_dimension(mod) == _ref_relation_kernel_dim(
+            w.field, pairs, w.dim, w.dim) == 1
+    for F in fields:
+        ind = induce_from_iwahori(TorusCharacter.trivial(F))
+        pairs = [(A, A) for A in ind.gens.values()]
+        assert commutant_dimension(ind) == _ref_relation_kernel_dim(F, pairs, ind.dim, ind.dim)
+        for w in [w for w in weights if w.field is F]:
+            gens = w.k_module().gens
+            pairs = [(gens[name], ind.gens[name]) for name in gens]
+            assert intertwiner_dimension(F, gens, ind.gens, w.dim, ind.dim) == \
+                _ref_relation_kernel_dim(F, pairs, w.dim, ind.dim)
+
+
+HYPOTHESIS_FIELDS = [Field(3), Field(2, 2), Field(3, 2), Field(7, 4)]
+
+
+@st.composite
+def _system(draw):
+    F = draw(st.sampled_from(HYPOTHESIS_FIELDS))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    codes = st.integers(0, F.size - 1)
+    # small codes often, so that rank drops and certificates appear
+    entry = st.one_of(st.sampled_from([0, 0, 1]), codes)
+    A = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=np.int64)
+    b = np.array(draw(st.lists(entry, min_size=m, max_size=m)), dtype=np.int64)
+    return F, A, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system())
+def test_rank_nullity_kernel_and_certificate(system):
+    F, A, b = system
+    K = kernel_codes(F, A)
+    assert rank_codes(F, A) + K.shape[0] == A.shape[1]
+    if K.shape[0]:
+        assert not np.any(_ref_mat_mul(F, A, K.T))
+    x, kern, cert = solve_codes(F, A, b)
+    assert np.array_equal(kern, K)
+    if cert is None:
+        assert np.array_equal(_ref_mat_mul(F, A, x[:, None])[:, 0], b)
+    else:
+        assert x is None
+        assert not np.any(_ref_mat_mul(F, cert[None, :], A))
+        assert _ref_mat_mul(F, cert[None, :], b[:, None])[0, 0] != 0
