@@ -699,6 +699,7 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
         report["per_trial"].append({
             "span_dim": span_dim, "covers_ball": covered, "depth": depth_used,
             "status": "pass" if covered else "fail",
+            "start_support": [repr(v) for v in sorted(w.support, key=lambda v: v.sort_key())],
         })
     report["status"] = ("pass" if all(t["covers_ball"] for t in report["per_trial"])
                         and report["oracle_stable"] else "fail")

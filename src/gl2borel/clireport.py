@@ -654,9 +654,12 @@ def suite_generation(cfg: RunConfig):
         return out
     dims = [t["span_dim"] for t in rep["per_trial"]]
     depths = [t["depth"] for t in rep["per_trial"]]
-    out.append(check("generation-covers",
-                     all(t["covers_ball"] for t in rep["per_trial"]),
-                     f"span dims {dims}, depths {depths}", cert))
+    detail = f"span dims {dims}, depths {depths}"
+    missed = [f"trial {i} (start support {', '.join(t['start_support'])})"
+              for i, t in enumerate(rep["per_trial"]) if not t["covers_ball"]]
+    if missed:
+        detail += "; missed the ball: " + "; ".join(missed)
+    out.append(check("generation-covers", not missed, detail, cert))
     return out
 
 

@@ -18,12 +18,16 @@ split, since there a code is its own digit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+@lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
+    # memoised: every PadicRational construction asks about its prime
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 

@@ -54,7 +54,7 @@ class PadicRational:
                 raise ValueError("prime mismatch")
             value = value.frac
         self.p = p
-        self.frac = Fraction(value)
+        self.frac = value if isinstance(value, Fraction) else Fraction(value)
 
     # -- normalized fields ---------------------------------------------------
     @property
@@ -86,7 +86,9 @@ class PadicRational:
             if other.p != self.p:
                 raise ValueError("prime mismatch")
             return other.frac
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Fraction):
+            return other
+        if isinstance(other, int):
             return Fraction(other)
         return NotImplemented
 

@@ -5,11 +5,21 @@ A level-N function is right-invariant under the principal congruence subgroup
 of level N; its points are [x : 1] for x in Z/p^N and [1 : p y] for y in
 Z/p^(N-1), with exact matrix representatives lower-u(x) and s u(p y).  The
 group acts by right translation on arguments; each action raises the level by
-at most v(det g) - 2 min-valuation(g), and evaluation routes through exact
-rational representatives so the chi-cocycle is never approximated.
+at most v(det g) - 2 min-valuation(g).
+
+An action is a compiled monomial table: for each point x of the raised level,
+x g = b . rep(x') with b upper-triangular and x' a point of the source level,
+so (g . f)(x) = chi(b) f(x').  The table stores the index of x' and the code of
+chi(b); it depends only on (g, chi, level) and is kept in a bounded cache, so
+applying g is one gather and one field multiplication.  The factorisation is
+exact (rational representatives, so the chi-cocycle is never approximated),
+and `evaluate` applies it to a single group element: it is the reference the
+tables are tested against.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,35 +159,57 @@ def reduce_point(p: int, point, to_level: int):
     return ("i", val % p ** (to_level - 1))
 
 
-def evaluate(f: PSFunction, g: Mat2) -> FieldElem:
-    """Exact evaluation of the smooth function at an arbitrary group element:
-    factor g = b . rep through the exact representative of its coset point."""
-    p = f.p
+def _coset_factor(p: int, g: Mat2, level: int):
+    """g = b . rep with b upper-triangular and rep the exact representative of
+    the level-`level` point of g's coset; returns (b, point)."""
     c, d = g.c, g.d
     if d.valuation <= c.valuation:
         x = c / d
-        b = g * lower_u(p, -x)
-        pt = ("a", x.residue(f.level))
-    else:
-        w = d / c
-        rep = s_mat(p) * upper_u(p, w)
-        b = g * rep.inv()
-        y = w / p
-        pt = ("i", y.residue(f.level - 1) if f.level > 1 else 0)
+        return g * lower_u(p, -x), ("a", x.residue(level))
+    w = d / c
+    b = g * (s_mat(p) * upper_u(p, w)).inv()
+    y = w / p
+    return b, ("i", y.residue(level - 1) if level > 1 else 0)
+
+
+def evaluate(f: PSFunction, g: Mat2) -> FieldElem:
+    """Exact evaluation of the smooth function at an arbitrary group element:
+    factor g = b . rep through the exact representative of its coset point."""
+    b, pt = _coset_factor(f.p, g, f.level)
     return f.chi.value_upper(b) * f.value(pt)
+
+
+def _raised_level(g: Mat2, level: int, n_max: int) -> int:
+    new_level = level + level_shift(g)
+    if new_level > n_max:
+        raise LevelOverflowError(
+            f"level overflow: need level {new_level} > N_max={n_max}")
+    return new_level
+
+
+@lru_cache(maxsize=1024)
+def _action_table(g: Mat2, chi: TorusCharacter, level: int):
+    """Right translation by g from `level` as a monomial table (src, coef):
+    (g . f).table = coef * f.table[src] at level + level_shift(g)."""
+    p = chi.p
+    points = ps_points(p, level + level_shift(g))
+    src = np.empty(len(points), dtype=np.intp)
+    coef = np.empty(len(points), dtype=np.int64)
+    for i, pt in enumerate(points):
+        b, source = _coset_factor(p, point_rep(p, pt) * g, level)
+        src[i] = point_index(p, level, source)
+        coef[i] = chi.value_upper(b).code
+    # shared by every caller with an equal key
+    src.flags.writeable = False
+    coef.flags.writeable = False
+    return src, coef
 
 
 def ps_act(g: Mat2, f: PSFunction) -> PSFunction:
     """Right translation: (g . f)(x) = f(x g), tabulated at the raised level."""
-    new_level = f.level + level_shift(g)
-    if new_level > f.n_max:
-        raise LevelOverflowError(
-            f"level overflow: need level {new_level} > N_max={f.n_max}")
-    p = f.p
-    out = np.zeros(p**new_level + p ** (new_level - 1), dtype=np.int64)
-    for i, pt in enumerate(ps_points(p, new_level)):
-        out[i] = evaluate(f, point_rep(p, pt) * g).code
-    return PSFunction(f.chi, new_level, out, f.n_max)
+    new_level = _raised_level(g, f.level, f.n_max)
+    src, coef = _action_table(g, f.chi, f.level)
+    return PSFunction(f.chi, new_level, xf.mul(f.field, coef, f.table[src]), f.n_max)
 
 
 def eval_at_identity(f: PSFunction) -> FieldElem:
@@ -212,9 +244,13 @@ def basis_functions(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX):
 
 
 def action_matrix(chi: TorusCharacter, g: Mat2, N: int, n_max: int = DEFAULT_N_MAX):
-    """Matrix of ps_act(g, .) from level N to level N + shift, on code tables."""
-    cols = [ps_act(g, b).table for b in basis_functions(chi, N, n_max)]
-    return np.array(cols, dtype=np.int64).T
+    """Matrix of ps_act(g, .) from level N to level N + shift, on code tables:
+    the monomial matrix with coef[i] at (i, src[i])."""
+    _raised_level(g, N, n_max)
+    src, coef = _action_table(g, chi, N)
+    out = np.zeros((len(src), chi.p**N + chi.p ** (N - 1)), dtype=np.int64)
+    out[np.arange(len(src)), src] = coef
+    return out
 
 
 def refine_matrix(chi: TorusCharacter, N: int, to_level: int, n_max: int = DEFAULT_N_MAX):

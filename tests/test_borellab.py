@@ -243,6 +243,7 @@ def test_generation_small():
     assert rep["status"] == "pass"
     assert rep["oracle_stable"]
     assert all(t["covers_ball"] for t in rep["per_trial"])
+    assert all(t["start_support"] == ["V(d=0, a=0)"] for t in rep["per_trial"])
     # word length 0 reports insufficient depth instead of failing
     rep0 = p_generation_evidence(model, trials=1, r_target=1, word_length=0, rng=rng)
     assert rep0["status"] == "insufficient depth"

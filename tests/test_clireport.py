@@ -184,6 +184,24 @@ def test_cli_inconclusive_exit_3():
     assert doc["summary"]["inconclusive"] == 1 and doc["summary"]["fail"] == 0
 
 
+def test_cli_generation_names_missed_trials():
+    """A failing generation-covers check names each trial that missed the ball
+    and its start vector's support; a passing one keeps the plain detail."""
+    base = ["generation", "--p", "2", "--trials", "3"]
+    rc, out, _ = run_inproc(*base, "--sample-radius", "1", "--word-length", "1")
+    assert rc == 2
+    covers = json.loads(out)["checks"][1]
+    assert covers["status"] == "fail"
+    detail = covers["details"]
+    assert detail.startswith("span dims [")
+    _, missed = detail.split("; missed the ball: ")
+    assert missed.startswith("trial 0 (start support V(d=0, a=0)")
+    assert "trial 2 (start support V(" in missed
+    rc, out, _ = run_inproc(*base, "--word-length", "2")
+    assert rc == 0
+    assert "missed" not in json.loads(out)["checks"][1]["details"]
+
+
 def test_cli_in_subprocess():
     code, out, err = run_cli("weights", "--p", "2", "--format", "text")
     assert code == 0, err.decode()

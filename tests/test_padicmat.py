@@ -38,6 +38,14 @@ def test_normalization_and_valuation():
     assert zero.valuation == VAL_INF
     assert zero.valuation > 10**9  # the sentinel sits above every integer
     assert (zero.numerator, zero.denom_unit, zero.denom_exp) == (0, 1, 0)
+    frac = Fraction(3, 25)
+    assert PadicRational(5, frac).frac is frac
+    # the prime check is memoised; a non-prime is rejected on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            PadicRational(4, 1)
+        with pytest.raises(ValueError, match="not prime"):
+            Mat2(6, 1, 0, 0, 1)
 
 
 def test_unit_residues():

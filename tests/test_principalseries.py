@@ -1,19 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 
+from gl2borel import principalseries as ps
 from gl2borel.exactfield import Field
 from gl2borel.fqweights import TorusCharacter
 from gl2borel.principalseries import (
     LevelOverflowError,
     PSFunction,
+    action_matrix,
+    basis_functions,
     eigen_relation,
     eval_at_identity,
     evaluate,
     i1_invariants,
     in_kappa,
+    level_shift,
     make_phi1,
     make_phi2,
+    point_rep,
     ps_act,
     ps_points,
     random_ps_function,
@@ -230,3 +236,81 @@ def test_serialization():
     data = f.serialize()
     assert data["level"] == 1
     assert data["values"] == [1, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# compiled action tables against the per-point reference
+# ---------------------------------------------------------------------------
+
+def reference_act(g, f):
+    """The tables' reference: evaluate f at point_rep(x) * g for every point x
+    of the raised level."""
+    p = f.p
+    new_level = f.level + level_shift(g)
+    table = [evaluate(f, point_rep(p, pt) * g).code for pt in ps_points(p, new_level)]
+    return PSFunction(f.chi, new_level, table, f.n_max)
+
+
+def words_by_shift(p, rng, shift, count):
+    out = []
+    while len(out) < count:
+        g = random_group_word(p, rng, 4)
+        if level_shift(g) == shift:
+            out.append(g)
+    return out
+
+
+def differential_chars():
+    f4 = Field(2, 2)
+    return [TorusCharacter(Field(3), 1, 0, 2, 1), TorusCharacter(Field(2), 0, 0, 1, 1),
+            TorusCharacter(f4, 0, 0, f4.from_code(2), f4.from_code(3))]
+
+
+@pytest.mark.parametrize("chi", differential_chars(), ids=["F3", "F2", "F4"])
+def test_ps_act_matches_pointwise_reference(chi):
+    rng = random.Random(f"ps-act:{chi!r}")
+    for level in (1, 2, 3):
+        for shift in (0, 1, 2):
+            for g in words_by_shift(chi.p, rng, shift, 2):
+                f = random_ps_function(chi, level, rng, n_max=5)
+                assert ps_act(g, f) == reference_act(g, f)
+
+
+@pytest.mark.parametrize("chi", differential_chars(), ids=["F3", "F2", "F4"])
+def test_action_matrix_stacks_basis_actions(chi):
+    rng = random.Random(f"action-matrix:{chi!r}")
+    for level in (1, 2):
+        for g in words_by_shift(chi.p, rng, 1, 2) + [t_mat(chi.p).inv()]:
+            M = action_matrix(chi, g, level)
+            cols = [ps_act(g, b).table for b in basis_functions(chi, level)]
+            assert M.dtype == np.int64
+            assert np.array_equal(M, np.stack(cols, axis=1))
+
+
+def test_action_matrix_level_overflow():
+    chi = TorusCharacter.trivial(Field(3))
+    with pytest.raises(LevelOverflowError, match="level overflow"):
+        action_matrix(chi, t_mat(3) ** 3, 2)
+    with pytest.raises(LevelOverflowError, match="level overflow"):
+        action_matrix(chi, t_mat(3), 2, n_max=2)
+    assert action_matrix(chi, t_mat(3), 2, n_max=3).shape == (36, 12)
+
+
+def test_action_table_cache_hit_and_bound():
+    p = 2
+    chi = TorusCharacter.trivial(Field(p))
+    f = random_ps_function(chi, 2, random.Random(10))
+    g = upper_u(p, 1) * t_mat(p)
+    twin = Mat2(p, g.a, g.b, g.c, g.d)
+    assert twin is not g and twin == g
+    first = ps_act(g, f)
+    hits = ps._action_table.cache_info().hits
+    assert ps_act(twin, f) == first
+    assert ps._action_table.cache_info().hits == hits + 1
+    assert ps._action_table(twin, chi, 2) is ps._action_table(g, chi, 2)
+    # more distinct keys than the bound: the cache stays within it
+    bound = ps._action_table.cache_info().maxsize
+    h = random_ps_function(chi, 1, random.Random(11))
+    for k in range(bound + 16):
+        ps_act(upper_u(p, k), h)
+    assert ps._action_table.cache_info().currsize <= bound
