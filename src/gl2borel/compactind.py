@@ -6,11 +6,19 @@ g.(F^x K)), with v a coefficient vector of the weight.  The group acts on
 labels by left multiplication; the Hecke operator is pinned by its value on
 the canonical generator phi = [1, v0] and extended linearly and
 G-equivariantly, which keeps every computation inside finite balls.
+
+Translating a label is compiled: g rep(v) = rep(v') p^j k with k in K, and
+the pair (v', residue matrix of k mod p) is kept per (g, v) in a bounded
+cache, so a summand costs one lookup and one product with the weight's
+cached matrix of that residue.  On a miss the pair comes from
+`vertex_normalize` and `fxk_factor`, which stay the exact reference it is
+tested against, with every check they make.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,19 +132,27 @@ def phi_element(weight: Weight) -> CindElement:
     return CindElement(weight, {base: v0})
 
 
+@lru_cache(maxsize=4096)
+def _translate(g: Mat2, vert: TreeVertex):
+    """(v', residue matrix of k) with g rep(vert) = rep(v') p^j k, k in K."""
+    nv, kz = vertex_normalize(g * vert.rep())
+    _, k = fxk_factor(kz)  # central p-powers act trivially
+    return nv, Weight.reduce_k(k)
+
+
 def act(g: Mat2, f: CindElement) -> CindElement:
     """Left translation on labels: [x, v] |-> [g x, v], renormalized."""
     w = f.weight
-    out = {}
     fld = w.field
+    out = {}
     for vert, coeffs in f.support.items():
-        nv, kz = vertex_normalize(g * vert.rep())
-        _, k = fxk_factor(kz)  # central p-powers act trivially
-        newc = w.act(k, list(coeffs))
+        nv, kbar = _translate(g, vert)
+        codes = xf.mat_vec_codes(fld, w.residue_action(kbar), [c.code for c in coeffs])
+        newc = tuple(fld.from_code(int(c)) for c in codes)
         if nv in out:
             out[nv] = tuple(a + b for a, b in zip(out[nv], newc))
         else:
-            out[nv] = tuple(newc)
+            out[nv] = newc
     return CindElement(w, out)
 
 
@@ -210,6 +226,12 @@ class HeckeIdeal:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def key(self) -> tuple:
+        """The coefficient codes, constant term first: equal ideals over one
+        field have equal keys, whatever text they were parsed from."""
+        return tuple(c.code for c in self.coeffs)
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "HeckeIdeal":
@@ -325,7 +347,7 @@ class BallIndex:
 def ideal_matrix(weight: Weight, ideal: HeckeIdeal, R: int):
     """Matrix of ideal(T): ball(R) -> ball(R + deg), columns over the ball
     basis; memoized on the weight since it backs every quotient solve."""
-    key = ("idealmat", repr(ideal), R)
+    key = ("idealmat", ideal.key, R)
     if key in weight._hecke_cache:
         return weight._hecke_cache[key]
     inner = BallIndex(weight, R)
@@ -354,7 +376,7 @@ class MembershipResult:
 
 
 def _ideal_solver(weight: Weight, ideal: HeckeIdeal, R: int) -> xf.CachedSolver:
-    key = ("solver", repr(ideal), R)
+    key = ("solver", ideal.key, R)
     if key not in weight._hecke_cache:
         A, _, _ = ideal_matrix(weight, ideal, R)
         weight._hecke_cache[key] = xf.CachedSolver(weight.field, A)

@@ -425,18 +425,27 @@ def mat_mul_codes(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # dense linear algebra on integer-code matrices
 # ---------------------------------------------------------------------------
 
-def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
-    """Reduced row echelon form over the field.
+def _eliminate(field: Field, A: np.ndarray, stop: int, grow: bool = False):
+    """Gauss-Jordan elimination of the digit planes A (m, width, k) in place,
+    pivoting on the first `stop` columns; returns (pivots, order) with
+    order[i] the original index of the row now at position i.
 
-    mat is an int64 array of codes; returns (R, pivot_columns).
-    Deterministic: the pivot is always the first row with a nonzero entry.
-    With pivot_limit, only the first pivot_limit columns are eliminated
-    (the rest are carried along, e.g. an augmented identity block).
+    The pivot is always the first row with a nonzero entry.  Rows from the
+    pivot row down vanish left of the pivot column, so only the columns from
+    there to the right change, and only in the rows with a nonzero entry in
+    the pivot column; when those are few, only they are rewritten.
+
+    With grow, the columns from `stop` on are a row transform built one
+    column per pivot: when the row at position r becomes the r-th pivot row,
+    column stop + r is set to the unit vector e_r, and the update stops at
+    that column.  A pivot row is nonzero only in the identity columns of rows
+    that were pivots before it, so the identity column of a row stays a unit
+    vector until that row becomes a pivot, and the grown columns are all of
+    the transform that elimination changes.
     """
     p, k = field.p, field.k
-    A = _digits(field, mat)  # (m, n, k) digit planes, eliminated in place
-    m, n = A.shape[:2]
-    stop = n if pivot_limit is None else min(pivot_limit, n)
+    m, width = A.shape[:2]
+    order = np.arange(m)
     pivots = []
     r = 0
     for c in range(stop):
@@ -448,19 +457,45 @@ def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+            order[[r, i]] = order[[i, r]]
+        end = width
+        if grow:
+            end = stop + r + 1
+            A[r, end - 1, 0] = 1  # digits of 1
         inv = field.inv_code(int(_codes(field, A[r, c])))
-        # rows r.. vanish left of column c, so only columns c.. change
-        row = A[r, c:] @ _mul_ops(field, _digits(field, inv)) % p
-        A[r, c:] = row
-        factors = A[:, c].copy()
-        factors[r] = 0
-        if factors.any():
-            block = A[:, c:]  # a view, updated in place
-            block -= (factors @ _mul_ops(field, row).transpose(1, 0, 2).reshape(k, -1)
-                      ).reshape(m, -1, k)
-            block %= p
+        row = A[r, c:end] @ _mul_ops(field, _digits(field, inv)) % p
+        A[r, c:end] = row
+        touched = A[:, c].any(axis=1)
+        touched[r] = False
+        rows = np.flatnonzero(touched)
+        if rows.size:
+            ops = _mul_ops(field, row).transpose(1, 0, 2).reshape(k, -1)
+            if 4 * rows.size < m:  # a sparse column: rewrite only the rows it touches
+                A[rows, c:end] = (A[rows, c:end]
+                                  - (A[rows, c] @ ops).reshape(rows.size, -1, k)) % p
+            else:
+                factors = A[:, c].copy()
+                factors[r] = 0
+                block = A[:, c:end]  # a view, updated in place
+                block -= (factors @ ops).reshape(m, -1, k)
+                block %= p
         pivots.append(c)
         r += 1
+    return pivots, order
+
+
+def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
+    """Reduced row echelon form over the field.
+
+    mat is an int64 array of codes; returns (R, pivot_columns).
+    Deterministic: the pivot is always the first row with a nonzero entry.
+    With pivot_limit, only the first pivot_limit columns are eliminated
+    (the rest are carried along, e.g. an augmented identity block).
+    """
+    A = _digits(field, mat)  # (m, n, k) digit planes, eliminated in place
+    n = A.shape[1]
+    stop = n if pivot_limit is None else min(pivot_limit, n)
+    pivots, _ = _eliminate(field, A, stop)
     return A @ field._weights, pivots  # the digits are reduced
 
 
@@ -534,18 +569,32 @@ class CachedSolver:
     """Factor A once and answer A x = b queries with exact certificates.
 
     The row transform L with L A = R (R echelon, pivot columns unit) is kept,
-    so each query costs one matrix-vector product."""
+    so each query costs one matrix-vector product.  L, R and the pivots are
+    those of rref([A | I_m], pivot_limit=n), entry for entry, but the
+    identity block is never eliminated: a row gets its transform column only
+    when it becomes a pivot row, and every other row keeps its identity
+    column, so each pivot updates at most m x (n + 1) cells instead of
+    m x (n + m).
+    """
 
     def __init__(self, field: Field, A: np.ndarray):
         self.field = field
         A = np.asarray(A, dtype=np.int64)
-        self.m, self.n = A.shape
-        aug = np.concatenate([A, np.eye(self.m, dtype=np.int64)], axis=1)
-        R, piv = rref(field, aug, pivot_limit=self.n)
+        m, n = self.m, self.n = A.shape
+        work = np.zeros((m, n + min(m, n), field.k), dtype=np.int64)
+        work[:, :n] = _digits(field, A)
+        piv, order = _eliminate(field, work, n, grow=True)
+        codes = work @ field._weights
+        rank = len(piv)
         self.pivots = piv
-        self.rank = len(piv)
-        self.R = R[:, : self.n]
-        self.L = R[:, self.n :]
+        self.rank = rank
+        self.R = codes[:, :n]
+        # column j of L belongs to original row j: the grown transform
+        # column for pivot rows, the unit at its final position otherwise
+        L = np.zeros((m, m), dtype=np.int64)
+        L[:, order[:rank]] = codes[:, n : n + rank]
+        L[np.arange(rank, m), order[rank:]] = 1
+        self.L = L
 
     def solve(self, b: np.ndarray):
         """(solution, certificate): exactly one of the two is not None."""

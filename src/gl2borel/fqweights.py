@@ -62,6 +62,8 @@ class Weight:
         self.field = field
         self.dim = r + 1
         self._hecke_cache = {}
+        # residue matrix -> action_matrix, read-only: at most |GL2(F_p)| keys
+        self._residue_cache = {}
 
     def is_character(self) -> bool:
         return self.r == 0
@@ -105,8 +107,20 @@ class Weight:
         # residues embed through the prime subfield, where codes coincide
         return np.array(cols, dtype=np.int64).T
 
-    def reduce_k(self, k: Mat2):
-        """Residue matrix of k in K; raises if k is not integral."""
+    def residue_action(self, kbar) -> np.ndarray:
+        """action_matrix(kbar) for a residue matrix as reduce_k returns it,
+        built once per residue matrix and shared read-only by every caller."""
+        mat = self._residue_cache.get(kbar)
+        if mat is None:
+            mat = self.action_matrix(kbar)
+            mat.flags.writeable = False
+            self._residue_cache[kbar] = mat
+        return mat
+
+    @staticmethod
+    def reduce_k(k: Mat2):
+        """Residue matrix of k in K, entries in 0..p-1; raises if k is not
+        integral."""
         if not in_subgroup(k, "K"):
             raise ValueError("not integral")
         return tuple(
@@ -117,8 +131,7 @@ class Weight:
     def act(self, k: Mat2, vec) -> list:
         """weight_action: apply k in K to a coefficient vector."""
         codes = self._vec_codes(vec)
-        mat = self.action_matrix(self.reduce_k(k))
-        out = xf.mat_vec_codes(self.field, mat, codes)
+        out = xf.mat_vec_codes(self.field, self.residue_action(self.reduce_k(k)), codes)
         return [self.field.from_code(int(c)) for c in out]
 
     def _vec_codes(self, vec) -> np.ndarray:

@@ -185,9 +185,10 @@ def unit_lift(p: int, lam: int) -> PadicRational:
 class Mat2:
     """Invertible 2x2 matrix over PadicRational."""
 
-    __slots__ = ("p", "a", "b", "c", "d")
+    __slots__ = ("p", "a", "b", "c", "d", "_hash")
 
     def __init__(self, p, a, b, c, d, check=True):
+        self._hash = None  # memoised: a Mat2 is never changed once built
         self.p = p
         self.a = PadicRational(p, a)
         self.b = PadicRational(p, b)
@@ -258,7 +259,9 @@ class Mat2:
         )
 
     def __hash__(self):
-        return hash((self.p, tuple(e.frac for e in self.entries())))
+        if self._hash is None:
+            self._hash = hash((self.p, tuple(e.frac for e in self.entries())))
+        return self._hash
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -378,9 +381,10 @@ class TreeVertex:
     and p coprime to c.
     """
 
-    __slots__ = ("p", "d", "a")
+    __slots__ = ("p", "d", "a", "_hash")
 
     def __init__(self, p: int, d: int, a):
+        self._hash = None  # memoised: a vertex is never changed once built
         self.p = p
         self.d = d
         self.a = canonical_mod(PadicRational(p, a), d)
@@ -400,7 +404,9 @@ class TreeVertex:
         return (self.p, self.d, self.a) == (other.p, other.d, other.a)
 
     def __hash__(self):
-        return hash((self.p, self.d, self.a))
+        if self._hash is None:
+            self._hash = hash((self.p, self.d, self.a))
+        return self._hash
 
     def __repr__(self):
         return f"V(d={self.d}, a={self.a})"

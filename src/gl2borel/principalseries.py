@@ -315,11 +315,8 @@ class DetSplitting:
         return self.scalar ** x.valuation * field.from_int(x.unit_residue()) ** self.exponent
 
     def det_function(self, level: int = 1) -> PSFunction:
-        """The G-eigenfunction g |-> psi(det g), tabulated."""
-        p = self.chi.p
-        table = [self.psi_hat(point_rep(p, pt).det()).code
-                 for pt in ps_points(p, level)]
-        return PSFunction(self.chi, level, np.array(table, dtype=np.int64), self.n_max)
+        """The G-eigenfunction g |-> psi(det g), tabulated once per (chi, level)."""
+        return PSFunction(self.chi, level, _det_table(self.chi, level), self.n_max)
 
     def project(self, f: PSFunction) -> FieldElem:
         return eval_at_identity(f)
@@ -340,6 +337,17 @@ class DetSplitting:
     def from_steinberg(self, f: PSFunction) -> PSFunction:
         table = xf.mul(self.chi.field, f.table, self.det_function(f.level).table)
         return PSFunction(self.chi, f.level, table, self.n_max)
+
+
+@lru_cache(maxsize=256)
+def _det_table(chi: TorusCharacter, level: int) -> np.ndarray:
+    """psi(det) at the representative of each level-`level` point, for
+    chi = psi o det; shared read-only by every caller with an equal key."""
+    spl = DetSplitting(chi)
+    table = np.array([spl.psi_hat(point_rep(chi.p, pt).det()).code
+                      for pt in ps_points(chi.p, level)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def split_for_det_character(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> DetSplitting:

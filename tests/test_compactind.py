@@ -1,14 +1,18 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gl2borel import exactfield as xf
 from gl2borel.compactind import (
     BallIndex,
     CindElement,
     HeckeIdeal,
     QuotientElement,
     TruncationError,
+    _ideal_solver,
+    _translate,
     act,
     ball_vertices,
     hecke_T,
@@ -20,17 +24,19 @@ from gl2borel.compactind import (
     quotient_membership,
     sphere_size,
 )
-from gl2borel.exactfield import kernel_codes
+from gl2borel.exactfield import Field, kernel_codes
 from gl2borel.fqweights import Weight
 from gl2borel.padicmat import (
     Mat2,
     diag,
+    fxk_factor,
     lower_u,
     pi_mat,
     random_group_word,
     s_mat,
     t_mat,
     upper_u,
+    vertex_normalize,
 )
 
 
@@ -319,3 +325,90 @@ def test_spanning_error_unreachable_by_construction():
     for p in (2, 3, 5):
         for r in range(p):
             hecke_T(phi_element(Weight(p, r, 0)))
+
+
+# ---------------------------------------------------------------------------
+# compiled translations against the exact reference path
+# ---------------------------------------------------------------------------
+
+def _act_reference(g, f):
+    """act without the translation cache or the weight's matrix cache:
+    vertex_normalize, fxk_factor and the weight's action_matrix."""
+    w = f.weight
+    out = CindElement(w)
+    for vert, coeffs in f.support.items():
+        nv, kz = vertex_normalize(g * vert.rep())
+        _, k = fxk_factor(kz)
+        mat = w.action_matrix(w.reduce_k(k))
+        codes = xf.mat_vec_codes(w.field, mat, [c.code for c in coeffs])
+        out = out + CindElement(w, {nv: [w.field.from_code(int(c)) for c in codes]})
+    return out
+
+
+def _random_element(w, rng, R=2, size=3):
+    verts = rng.sample(ball_vertices(w.p, R), size)
+    return CindElement(w, {v: [w.field.from_code(rng.randrange(w.field.size))
+                               for _ in range(w.dim)] for v in verts})
+
+
+TRANSLATION_WEIGHTS = [Weight(2, 0, 0), Weight(2, 1, 0), Weight(3, 0, 1), Weight(3, 1, 0),
+                       Weight(3, 2, 1), Weight(5, 0, 2), Weight(5, 1, 3), Weight(5, 4, 1),
+                       Weight(3, 1, 1, Field(3, 2))]
+
+
+@pytest.mark.parametrize("w", TRANSLATION_WEIGHTS, ids=lambda w: f"p{w.p}-{w!r}-{w.field!r}")
+def test_act_matches_reference_on_random_words(w):
+    rng = random.Random(f"act:{w.p}:{w.r}:{w.m}:{w.field.k}")
+    for _ in range(12):
+        f = _random_element(w, rng)
+        g = random_group_word(w.p, rng, 6)
+        h = random_group_word(w.p, rng, 4)
+        assert act(g, f) == _act_reference(g, f)
+        assert act(g, act(h, f)) == act(g * h, f)
+
+
+def test_translation_cache_hits_equal_matrices():
+    p = 3
+    w = Weight(p, 1, 0)
+    f = _random_element(w, random.Random(11))
+    g = random_group_word(p, random.Random(12), 6)
+    act(g, f)
+    before = _translate.cache_info()
+    twin = Mat2(p, *g.entries())
+    assert twin == g and twin is not g
+    assert act(twin, f) == act(g, f)
+    after = _translate.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2 * len(f.support)
+
+
+def test_translation_cache_stays_bounded():
+    p = 3
+    w = Weight(p, 1, 0)
+    phi = phi_element(w)
+    bound = _translate.cache_info().maxsize
+    for x in range(bound + 50):
+        act(upper_u(p, Fraction(x, p)), phi)
+    assert _translate.cache_info().currsize <= bound
+
+
+def test_residue_matrices_cached_read_only():
+    w = Weight(5, 3, 2)
+    kbar = ((2, 1), (4, 3))
+    mat = w.residue_action(kbar)
+    assert np.array_equal(mat, w.action_matrix(kbar))
+    assert not mat.flags.writeable
+    assert w.residue_action(((2, 1), (4, 3))) is mat
+    assert len(w._residue_cache) == 1
+
+
+def test_hecke_cache_keyed_by_coefficients():
+    w = Weight(3, 1, 0)
+    t_minus_1 = HeckeIdeal.parse(w.field, "T-1")
+    t_plus_2 = HeckeIdeal.parse(w.field, "T+2")
+    assert t_minus_1.key == t_plus_2.key
+    assert _ideal_solver(w, t_minus_1, 0) is _ideal_solver(w, t_plus_2, 0)
+    t1 = HeckeIdeal.parse(w.field, "T")
+    t2 = HeckeIdeal.parse(w.field, "T^2")
+    assert t1.key != t2.key
+    assert _ideal_solver(w, t1, 0) is not _ideal_solver(w, t2, 0)

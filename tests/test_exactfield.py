@@ -327,3 +327,74 @@ def test_rank_nullity_kernel_and_certificate(system):
         assert x is None
         assert not np.any(_ref_mat_mul(F, cert[None, :], A))
         assert _ref_mat_mul(F, cert[None, :], b[:, None])[0, 0] != 0
+
+
+# ---------------------------------------------------------------------------
+# the solver's compact row transform against elimination of [A | I]
+# ---------------------------------------------------------------------------
+
+def _solver_case(F, rng, m, n, rank):
+    """A random m x n code matrix of rank at most `rank` (a product of
+    random m x rank and rank x n factors)."""
+    left = rng.integers(0, F.size, size=(m, rank))
+    right = rng.integers(0, F.size, size=(rank, n))
+    if rank == 0:
+        return np.zeros((m, n), dtype=np.int64)
+    return mat_mul_codes(F, left, right)
+
+
+SOLVER_FIELDS = [Field(3), Field(2, 2), Field(3, 2), Field(7, 4)]
+SOLVER_SHAPES = [(4, 9, 4), (9, 4, 4), (6, 6, 0), (7, 7, 7), (8, 10, 5), (10, 8, 3),
+                 (1, 5, 1), (5, 1, 1), (0, 3, 0), (3, 0, 0)]
+
+
+@pytest.mark.parametrize("F", SOLVER_FIELDS, ids=repr)
+def test_cached_solver_matches_full_elimination(F):
+    rng = np.random.default_rng(F.size)
+    for m, n, rank in SOLVER_SHAPES:
+        for _ in range(3):
+            A = _solver_case(F, rng, m, n, rank)
+            solver = CachedSolver(F, A)
+            R, piv = rref(F, np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1),
+                          pivot_limit=n)
+            assert solver.pivots == piv
+            assert solver.rank == len(piv) <= rank
+            assert np.array_equal(solver.R, R[:, :n])
+            assert np.array_equal(solver.L, R[:, n:])
+
+
+@st.composite
+def _solver_system(draw):
+    F = draw(st.sampled_from(SOLVER_FIELDS))
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0, 0, 1]), st.integers(0, F.size - 1))
+    if draw(st.booleans()):  # mostly zero, so that pivot columns touch few rows
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    A = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=np.int64)
+    bs = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                min_size=1, max_size=4)), dtype=np.int64)
+    return F, A, bs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_system())
+def test_cached_solver_transform_and_certificates(system):
+    F, A, bs = system
+    solver = CachedSolver(F, A)
+    assert np.array_equal(_ref_mat_mul(F, solver.L, A), solver.R)
+    # R is reduced: unit pivot columns, zero rows below the rank
+    rank = solver.rank
+    assert np.array_equal(solver.R[:, solver.pivots], np.eye(A.shape[0], rank, dtype=np.int64))
+    assert not np.any(solver.R[rank:])
+    # the rows below the rank span the left kernel
+    assert not np.any(_ref_mat_mul(F, solver.L[solver.rank:], A))
+    for b in bs:
+        x, cert = solver.solve(b)
+        assert (x is None) != (cert is None)
+        if cert is None:
+            assert np.array_equal(_ref_mat_mul(F, A, x[:, None])[:, 0], b)
+        else:
+            assert not np.any(_ref_mat_mul(F, cert[None, :], A))
+            assert _ref_mat_mul(F, cert[None, :], b[:, None])[0, 0] != 0

@@ -207,6 +207,22 @@ def test_split_for_det_character():
         split_for_det_character(TorusCharacter(field, 1, 0, 1, 1))
 
 
+def test_det_function_table_cached_read_only():
+    p = 3
+    field = Field(p)
+    chi = TorusCharacter(field, 1, 1, 2, 2)
+    spl = split_for_det_character(chi)
+    for level in (1, 2):
+        first = spl.det_function(level).table
+        again = split_for_det_character(TorusCharacter(field, 1, 1, 2, 2)).det_function(level)
+        assert np.array_equal(first, again.table)
+        assert not first.flags.writeable
+        # the table is psi(det) at each point's representative
+        expected = [spl.psi_hat(ps.point_rep(p, pt).det()).code
+                    for pt in ps.ps_points(p, level)]
+        assert first.tolist() == expected
+
+
 def test_steinberg_dictionary_intertwines_up_to_twist():
     p = 3
     field = Field(p)
