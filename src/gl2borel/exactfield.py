@@ -433,7 +433,7 @@ def _eliminate(field: Field, A: np.ndarray, stop: int, grow: bool = False):
     The pivot is always the first row with a nonzero entry.  Rows from the
     pivot row down vanish left of the pivot column, so only the columns from
     there to the right change, and only in the rows with a nonzero entry in
-    the pivot column; when those are few, only they are rewritten.
+    the pivot column, so only those rows are rewritten.
 
     With grow, the columns from `stop` on are a row transform built one
     column per pivot: when the row at position r becomes the r-th pivot row,
@@ -470,15 +470,8 @@ def _eliminate(field: Field, A: np.ndarray, stop: int, grow: bool = False):
         rows = np.flatnonzero(touched)
         if rows.size:
             ops = _mul_ops(field, row).transpose(1, 0, 2).reshape(k, -1)
-            if 4 * rows.size < m:  # a sparse column: rewrite only the rows it touches
-                A[rows, c:end] = (A[rows, c:end]
-                                  - (A[rows, c] @ ops).reshape(rows.size, -1, k)) % p
-            else:
-                factors = A[:, c].copy()
-                factors[r] = 0
-                block = A[:, c:end]  # a view, updated in place
-                block -= (factors @ ops).reshape(m, -1, k)
-                block %= p
+            A[rows, c:end] = (A[rows, c:end]
+                              - (A[rows, c] @ ops).reshape(rows.size, -1, k)) % p
         pivots.append(c)
         r += 1
     return pivots, order
