@@ -207,23 +207,12 @@ def compress(f: ps.PSFunction) -> ps.PSFunction:
     one; exact inverse of refine, used to keep orbits inside the level cap."""
     while f.level > 1:
         p = f.p
-        coarse_pts = ps.ps_points(p, f.level - 1)
-        coarse = np.zeros(len(coarse_pts), dtype=np.int64)
-        ok = True
-        fine_pts = ps.ps_points(p, f.level)
-        values = {}
-        for i, pt in enumerate(fine_pts):
-            red = ps.reduce_point(p, pt, f.level - 1)
-            if red in values:
-                if values[red] != int(f.table[i]):
-                    ok = False
-                    break
-            else:
-                values[red] = int(f.table[i])
-        if not ok:
+        idx = ps._refine_index(p, f.level - 1, f.level)
+        coarse = np.empty(p ** (f.level - 1) + p ** (f.level - 2), dtype=np.int64)
+        # one value from each fibre of idx: a pullback is constant on fibres
+        coarse[idx] = f.table
+        if not np.array_equal(coarse[idx], f.table):
             return f
-        for j, pt in enumerate(coarse_pts):
-            coarse[j] = values[pt]
         f = ps.PSFunction(f.chi, f.level - 1, coarse, f.n_max)
     return f
 

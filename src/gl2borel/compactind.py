@@ -69,6 +69,20 @@ class CindElement:
                 clean[v] = tup
         self.support = clean
 
+    @classmethod
+    def from_codes(cls, weight: Weight, support: dict) -> "CindElement":
+        """The element with the given code vector at each vertex; vertices
+        whose vector is zero are dropped."""
+        out = cls(weight)
+        fld = weight.field
+        out.support = {v: tuple(fld.from_code(int(c)) for c in codes)
+                       for v, codes in support.items() if np.any(codes)}
+        return out
+
+    def codes(self) -> list:
+        """(vertex, coefficient codes) for each vertex of the support."""
+        return [(v, [c.code for c in coeffs]) for v, coeffs in self.support.items()]
+
     def is_zero(self) -> bool:
         return not self.support
 
@@ -140,20 +154,19 @@ def _translate(g: Mat2, vert: TreeVertex):
     return nv, Weight.reduce_k(k)
 
 
+def _translate_into(acc: dict, g: Mat2, w: Weight, summands):
+    """Add [g x, v] to acc (vertex -> code vector) for each (x, codes of v)."""
+    for vert, codes in summands:
+        nv, kbar = _translate(g, vert)
+        term = xf.mat_vec_codes(w.field, w.residue_action(kbar), codes)
+        acc[nv] = xf.add(w.field, acc[nv], term) if nv in acc else term
+
+
 def act(g: Mat2, f: CindElement) -> CindElement:
     """Left translation on labels: [x, v] |-> [g x, v], renormalized."""
-    w = f.weight
-    fld = w.field
-    out = {}
-    for vert, coeffs in f.support.items():
-        nv, kbar = _translate(g, vert)
-        codes = xf.mat_vec_codes(fld, w.residue_action(kbar), [c.code for c in coeffs])
-        newc = tuple(fld.from_code(int(c)) for c in codes)
-        if nv in out:
-            out[nv] = tuple(a + b for a, b in zip(out[nv], newc))
-        else:
-            out[nv] = newc
-    return CindElement(w, out)
+    acc = {}
+    _translate_into(acc, g, f.weight, f.codes())
+    return CindElement.from_codes(f.weight, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +215,15 @@ def hecke_T(f: CindElement, variant: str = "default") -> CindElement:
     applying the pinned value of T on phi equivariantly."""
     w = f.weight
     ks, S_inv, tphi = _hecke_data(w, variant)
-    out = CindElement(w)
-    for vert, coeffs in f.support.items():
-        codes = np.array([c.code for c in coeffs], dtype=np.int64)
+    tverts, tcodes = zip(*tphi.codes())
+    acc = {}
+    for vert, codes in f.codes():
         a = xf.mat_vec_codes(w.field, S_inv, codes)
         rep = vert.rep()
         for j, aj in enumerate(a):
-            if aj:
-                out = out + act(rep * ks[j], tphi).scale(w.field.from_code(int(aj)))
-    return out
+            if aj:  # a_j [rep k_j x, v] for each summand [x, v] of T phi
+                _translate_into(acc, rep * ks[j], w, zip(tverts, xf.mul(w.field, tcodes, aj)))
+    return CindElement.from_codes(w, acc)
 
 
 class HeckeIdeal:

@@ -11,15 +11,21 @@ An action is a compiled monomial table: for each point x of the raised level,
 x g = b . rep(x') with b upper-triangular and x' a point of the source level,
 so (g . f)(x) = chi(b) f(x').  The table stores the index of x' and the code of
 chi(b); it depends only on (g, chi, level) and is kept in a bounded cache, so
-applying g is one gather and one field multiplication.  The factorisation is
-exact (rational representatives, so the chi-cocycle is never approximated),
-and `evaluate` applies it to a single group element: it is the reference the
-tables are tested against.
+applying g is one gather and one field multiplication.  The compiler clears
+the denominators of g once and factors every point on the bottom row of
+rep(x) g in exact Python integers: x' comes from a quotient of two integers,
+and chi(b) only from the sign, valuation and unit residue of one of them.
+`_coset_factor` is the same factorisation on `Mat2` of exact rationals, and
+`evaluate` applies it to a single group element: they are the reference the
+tables are tested against.  Refinement to a finer level is a gather through a
+cached index of point reductions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -95,17 +101,10 @@ class PSFunction:
 
     def refine(self, to_level: int) -> "PSFunction":
         """Pull back to a finer level (no-op on the function it represents)."""
-        if to_level < self.level:
-            raise ValueError("cannot coarsen a table")
-        if to_level > self.n_max:
-            raise LevelOverflowError("level overflow")
+        _check_refine(self.level, to_level, self.n_max)
         if to_level == self.level:
             return self
-        p = self.p
-        out = np.zeros(p**to_level + p ** (to_level - 1), dtype=np.int64)
-        for i, pt in enumerate(ps_points(p, to_level)):
-            red = reduce_point(p, pt, self.level)
-            out[i] = self.table[point_index(p, self.level, red)]
+        out = self.table[_refine_index(self.p, self.level, to_level)]
         return PSFunction(self.chi, to_level, out, self.n_max)
 
     def _pair(self, other):
@@ -152,11 +151,21 @@ def point_index(p: int, N: int, point) -> int:
     return p**N + val
 
 
-def reduce_point(p: int, point, to_level: int):
-    kind, val = point
-    if kind == "a":
-        return ("a", val % p**to_level)
-    return ("i", val % p ** (to_level - 1))
+def _check_refine(level: int, to_level: int, n_max: int):
+    if to_level < level:
+        raise ValueError("cannot coarsen a table")
+    if to_level > n_max:
+        raise LevelOverflowError("level overflow")
+
+
+@lru_cache(maxsize=64)
+def _refine_index(p: int, level: int, to_level: int) -> np.ndarray:
+    """Index at `level` of each point of `to_level` reduced to it: [x : 1] to
+    x mod p^level, [1 : p y] to p^level + y mod p^(level-1); read-only."""
+    idx = np.concatenate([np.arange(p**to_level) % p**level,
+                          p**level + np.arange(p ** (to_level - 1)) % p ** (level - 1)])
+    idx.flags.writeable = False
+    return idx
 
 
 def _coset_factor(p: int, g: Mat2, level: int):
@@ -187,18 +196,54 @@ def _raised_level(g: Mat2, level: int, n_max: int) -> int:
     return new_level
 
 
+def _vu(n: int, p: int):
+    """(v_p(n), n / p^v_p(n)) of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 @lru_cache(maxsize=1024)
 def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     """Right translation by g from `level` as a monomial table (src, coef):
-    (g . f).table = coef * f.table[src] at level + level_shift(g)."""
+    (g . f).table = coef * f.table[src] at level + level_shift(g).
+
+    Every point is factored in Python integers, as `_coset_factor` factors
+    rep(x) g.  With L the common denominator of g's entries and
+    G = L g = [[A, B], [C, D]], the bottom row (C', D') of rep(x) G is
+    (xA + C, xB + D) at [x : 1], where det rep(x) = 1, and (A + py C, B + py D)
+    at [1 : p y], where det rep(x) = -1.  If v(D') <= v(C'), then x' = C'/D' and
+    b = [[det rep(x) det(g) L / D', *], [0, D' / L]]; otherwise
+    p y' = D'/C' and b = [[-det rep(x) det(g) L / C', *], [0, C' / L]].
+    chi(b) depends only on the sign, the valuation and the unit residue mod p
+    of D' (or C'), so it is computed once per such key."""
     p = chi.p
-    points = ps_points(p, level + level_shift(g))
-    src = np.empty(len(points), dtype=np.intp)
-    coef = np.empty(len(points), dtype=np.int64)
-    for i, pt in enumerate(points):
-        b, source = _coset_factor(p, point_rep(p, pt) * g, level)
-        src[i] = point_index(p, level, source)
-        coef[i] = chi.value_upper(b).code
+    L = lcm(*(e.frac.denominator for e in g.entries()))
+    A, B, C, D = (int(e.frac * L) for e in g.entries())
+    det_L = g.det().frac * L
+    new_level = level + level_shift(g)
+    rows = [(x * A + C, x * B + D, 1) for x in range(p**new_level)]
+    rows += [(A + p * y * C, B + p * y * D, -1) for y in range(p ** (new_level - 1))]
+    q, q_inf = p**level, p ** (level - 1)
+    src = np.empty(len(rows), dtype=np.intp)
+    coef = np.empty(len(rows), dtype=np.int64)
+    chi_b = {}
+    for i, (c, d, sign) in enumerate(rows):
+        e, u = _vu(d, p) if d else (0, 0)
+        if d and c % p**e == 0:  # the affine branch: x' = C'/D'
+            src[i] = c // p**e * pow(u, -1, q) % q
+        else:  # the infinity branch: y' = D'/(p C'), 0 at level 1
+            e, u = _vu(c, p)
+            sign = -sign
+            src[i] = q + d // p ** (e + 1) * pow(u, -1, q_inf) % q_inf
+        key = (sign, e, u % p)
+        if key not in chi_b:
+            m = p**e * (u % p)  # the valuation and unit residue of L b.d
+            chi_b[key] = chi.value_diag(PadicRational(p, det_L * sign / m),
+                                        PadicRational(p, Fraction(m, L))).code
+        coef[i] = chi_b[key]
     # shared by every caller with an equal key
     src.flags.writeable = False
     coef.flags.writeable = False
@@ -254,8 +299,12 @@ def action_matrix(chi: TorusCharacter, g: Mat2, N: int, n_max: int = DEFAULT_N_M
 
 
 def refine_matrix(chi: TorusCharacter, N: int, to_level: int, n_max: int = DEFAULT_N_MAX):
-    cols = [b.refine(to_level).table for b in basis_functions(chi, N, n_max)]
-    return np.array(cols, dtype=np.int64).T
+    """Matrix of refine from level N to `to_level`: 1 at (i, idx[i])."""
+    _check_refine(N, to_level, n_max)
+    idx = _refine_index(chi.p, N, to_level)
+    out = np.zeros((len(idx), chi.p**N + chi.p ** (N - 1)), dtype=np.int64)
+    out[np.arange(len(idx)), idx] = 1
+    return out
 
 
 def i1_invariants(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX) -> list:
@@ -342,10 +391,12 @@ class DetSplitting:
 @lru_cache(maxsize=256)
 def _det_table(chi: TorusCharacter, level: int) -> np.ndarray:
     """psi(det) at the representative of each level-`level` point, for
-    chi = psi o det; shared read-only by every caller with an equal key."""
-    spl = DetSplitting(chi)
-    table = np.array([spl.psi_hat(point_rep(chi.p, pt).det()).code
-                      for pt in ps_points(chi.p, level)], dtype=np.int64)
+    chi = psi o det: det rep = 1 on [x : 1] and -1 on [1 : p y].  Shared
+    read-only by every caller with an equal key."""
+    p = chi.p
+    psi_hat = DetSplitting(chi).psi_hat
+    table = np.repeat([psi_hat(PadicRational(p, 1)).code, psi_hat(PadicRational(p, -1)).code],
+                      [p**level, p ** (level - 1)]).astype(np.int64)
     table.flags.writeable = False
     return table
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gl2borel import compactind as ci
@@ -53,6 +54,22 @@ def test_compress_roundtrip():
     fine = phi2.refine(3)
     assert compress(fine) == phi2
     assert compress(fine).level == phi2.level
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_compress_lowers_exactly_the_pullbacks(p):
+    chi = TorusCharacter.trivial(Field(p))
+    rng = random.Random(f"compress:{p}")
+    for level in (1, 2):
+        f = ps.random_ps_function(chi, level, rng)
+        for to_level in (level, level + 1, 3):
+            fine = f.refine(to_level)
+            assert np.array_equal(compress(fine).table, compress(f).table)
+        # one changed entry on the finest level is no pullback
+        table = f.refine(3).table.copy()
+        table[-1] = (table[-1] + 1) % p
+        broken = ps.PSFunction(chi, 3, table)
+        assert compress(broken) is broken
 
 
 def test_recursion_quotient_n1_and_n2():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -206,3 +207,24 @@ def test_cli_in_subprocess():
     code, out, err = run_cli("weights", "--p", "2", "--format", "text")
     assert code == 0, err.decode()
     assert b"PASS" in out
+
+
+# SHA-256 of stdout and the exit code of each command, recorded before the
+# principal-series tables were compiled with integer arithmetic: a faster path
+# must leave every report byte as it was.
+REPORT_DIGESTS = {
+    ("pseries", "--p", "2", "--trials", "20"):
+        (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
+    ("pseries", "--p", "3", "--trials", "20"):
+        (0, "a20172d112e5e8e2dbe66d2c5532780d5d47a7a76bf0928972d10fed554173fb"),
+    ("hom-transfer", "--p", "2"):
+        (0, "a9c1287420008f3841cd9f92600404c8ca3e1ce7c722a89b79b787d47fd6bfbf"),
+    ("all", "--p", "2"):
+        (0, "7d29e58edef5469ce2f9af6c1382c262d5b1b0387e6e484827ecd7e903152c88"),
+}
+
+
+@pytest.mark.parametrize("args", list(REPORT_DIGESTS), ids=" ".join)
+def test_cli_report_bytes_unchanged(args):
+    code, out, _ = run_cli(*args)
+    assert (code, hashlib.sha256(out).hexdigest()) == REPORT_DIGESTS[args]

@@ -11,6 +11,7 @@ from gl2borel.compactind import (
     HeckeIdeal,
     QuotientElement,
     TruncationError,
+    _hecke_data,
     _ideal_solver,
     _translate,
     act,
@@ -412,3 +413,30 @@ def test_hecke_cache_keyed_by_coefficients():
     t2 = HeckeIdeal.parse(w.field, "T^2")
     assert t1.key != t2.key
     assert _ideal_solver(w, t1, 0) is not _ideal_solver(w, t2, 0)
+
+
+def _hecke_T_termwise(f, variant="default"):
+    """T f one summand at a time: sum of a_j act(rep k_j, T phi)."""
+    w = f.weight
+    ks, S_inv, tphi = _hecke_data(w, variant)
+    out = CindElement(w)
+    for vert, coeffs in f.support.items():
+        a = xf.mat_vec_codes(w.field, S_inv, [c.code for c in coeffs])
+        for j, aj in enumerate(a):
+            if aj:
+                out = out + act(vert.rep() * ks[j], tphi).scale(w.field.from_code(int(aj)))
+    return out
+
+
+@pytest.mark.parametrize("w", TRANSLATION_WEIGHTS, ids=lambda w: f"p{w.p}-{w!r}-{w.field!r}")
+def test_hecke_T_matches_termwise_sum(w):
+    rng = random.Random(f"hecke:{w.p}:{w.r}:{w.m}:{w.field.k}")
+    for variant in ("default", "alt"):
+        for _ in range(3):
+            f = _random_element(w, rng)
+            Tf = hecke_T(f, variant)
+            assert Tf == _hecke_T_termwise(f, variant)
+            assert all(any(not c.is_zero() for c in cs) for cs in Tf.support.values())
+    # cancelling summands leave no zero vector behind
+    phi = phi_element(w)
+    assert hecke_T(phi - phi).is_zero()

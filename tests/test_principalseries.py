@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2borel import principalseries as ps
 from gl2borel.exactfield import Field
@@ -23,6 +26,7 @@ from gl2borel.principalseries import (
     ps_act,
     ps_points,
     random_ps_function,
+    refine_matrix,
     split_for_det_character,
 )
 from gl2borel.padicmat import Mat2, diag, random_group_word, t_mat, upper_u
@@ -330,3 +334,103 @@ def test_action_table_cache_hit_and_bound():
     for k in range(bound + 16):
         ps_act(upper_u(p, k), h)
     assert ps._action_table.cache_info().currsize <= bound
+
+
+# ---------------------------------------------------------------------------
+# the integer table compiler against the per-point coset factorisation
+# ---------------------------------------------------------------------------
+
+def reference_table(g, chi, level):
+    """(src, coef) point by point: _coset_factor of rep(x) g and chi(b)."""
+    p = chi.p
+    src, coef = [], []
+    for pt in ps_points(p, level + level_shift(g)):
+        b, source = ps._coset_factor(p, point_rep(p, pt) * g, level)
+        src.append(ps.point_index(p, level, source))
+        coef.append(chi.value_upper(b).code)
+    return src, coef
+
+
+def assert_table_matches_reference(g, chi, level):
+    src, coef = ps._action_table.__wrapped__(g, chi, level)
+    assert (src.tolist(), coef.tolist()) == reference_table(g, chi, level)
+    assert not src.flags.writeable and not coef.flags.writeable
+
+
+TABLE_FIELDS = {2: [Field(2), Field(2, 2)], 3: [Field(3), Field(3, 2)], 5: [Field(5)]}
+
+
+@st.composite
+def table_cases(draw):
+    """(g, chi, level) with g = lam * U diag(p^shift, 1) V, U and V integral
+    with unit determinant, so level_shift(g) = shift; entries may be zero,
+    negative, above 2^63, or carry p and other primes in the denominator."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    field = draw(st.sampled_from(TABLE_FIELDS[p]))
+    unit = st.integers(1, field.size - 1).map(field.from_code)
+    chi = TorusCharacter(field, draw(st.integers(0, p - 2)), draw(st.integers(0, p - 2)),
+                         draw(unit), draw(unit))
+    level = draw(st.integers(1, 3))
+    # p = 5 stops at raised level 4 (750 points), to bound the reference's cost
+    shift = draw(st.integers(0, min(2, (4 if p == 5 else 5) - level)))
+    entry = st.one_of(st.sampled_from([0, 1, -1, p, -p]), st.integers(-2**70, 2**70))
+    unimodular = st.tuples(entry, entry, entry, entry).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+    u, v = draw(unimodular), draw(unimodular)
+    num = draw(st.one_of(st.sampled_from([1, -1]), st.integers(-2**70, 2**70).filter(bool)))
+    den = draw(st.integers(1, 30).filter(lambda n: n % p)) * p ** draw(st.integers(0, 2))
+    lam = Fraction(num, den)
+    a, b, c, d = u[0] * p**shift, u[1], u[2] * p**shift, u[3]
+    g = Mat2(p, lam * (a * v[0] + b * v[2]), lam * (a * v[1] + b * v[3]),
+             lam * (c * v[0] + d * v[2]), lam * (c * v[1] + d * v[3]))
+    assert level_shift(g) == shift
+    return g, chi, level
+
+
+F4 = Field(2, 2)
+EDGE_CASES = [
+    # c = 0 with p in a denominator; d = 0; entries above 2^63, negative
+    (Mat2(2, Fraction(1, 4), 3, 0, Fraction(-5, 2)),
+     TorusCharacter(F4, 0, 0, F4.from_code(2), F4.from_code(3)), 2),
+    (Mat2(3, 2**64 + 1, -5, 7 * 3**2, 0), TorusCharacter(Field(3), 1, 0, 2, 1), 1),
+    (Mat2(3, -(2**70), Fraction(1, 3), 3, 2**65 + 2), TorusCharacter(Field(3), 0, 1, 1, 2), 2),
+    (Mat2(3, -(2**70), Fraction(2, 3), 3, 2**65 + 1), TorusCharacter(Field(3, 2), 1, 1, 2, 1), 3),
+    (Mat2(5, 0, Fraction(3, 7), -25, 2**66), TorusCharacter(Field(5), 3, 2, 4, 3), 2),
+    (Mat2(5, Fraction(-2, 35), 0, 0, 5), TorusCharacter(Field(5), 1, 3, 2, 2), 1),
+]
+
+
+@pytest.mark.parametrize("g,chi,level", EDGE_CASES, ids=repr)
+def test_action_table_edge_entries(g, chi, level):
+    assert level_shift(g) <= 2
+    assert_table_matches_reference(g, chi, level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_cases())
+def test_action_table_matches_coset_factor(case):
+    assert_table_matches_reference(*case)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_refine_index_matches_point_reduction(p):
+    for level in (1, 2, 3):
+        for to_level in range(level, 4):
+            expected = [val % p**level if kind == "a" else p**level + val % p ** (level - 1)
+                        for kind, val in ps_points(p, to_level)]
+            idx = ps._refine_index(p, level, to_level)
+            assert idx.tolist() == expected
+            assert not idx.flags.writeable
+
+
+@pytest.mark.parametrize("chi", differential_chars(), ids=["F3", "F2", "F4"])
+def test_refine_matrix_stacks_refined_basis(chi):
+    for level, to_level in ((1, 1), (1, 3), (2, 3)):
+        R = refine_matrix(chi, level, to_level)
+        cols = [b.refine(to_level).table for b in basis_functions(chi, level)]
+        assert R.dtype == np.int64
+        assert np.array_equal(R, np.stack(cols, axis=1))
+    with pytest.raises(ValueError, match="cannot coarsen"):
+        refine_matrix(chi, 2, 1)
+    with pytest.raises(LevelOverflowError):
+        refine_matrix(chi, 2, 5)
