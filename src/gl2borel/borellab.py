@@ -100,9 +100,6 @@ class CindModel:
             out = out + self.act(upper_u(self.p, lam) * t_mat(self.p), v)
         return out
 
-    def i1_fixed_basis(self, radius: int):
-        return ci.i1_fixed_ball(self.weight, radius, self.ideal, self.r_max)
-
     def frame(self, vectors):
         radius = max([v.radius() for v in vectors if not v.is_zero()] + [0])
         return self._frame_at(radius)
@@ -113,7 +110,7 @@ class CindModel:
         ball = ci.BallIndex(self.weight, radius)
         if self.ideal is not None and radius - self.ideal.degree >= 0:
             A, _, _ = ci.ideal_matrix(self.weight, self.ideal, radius - self.ideal.degree)
-            _, _, reduce_fn = ci.reduce_mod_rows(self.field, A.T)
+            reduce_fn = xf.IncrementalSpan(self.field, ball.dim, A.T).reduce
         else:
             reduce_fn = lambda M: np.asarray(M, dtype=np.int64)
         frame = _Frame(self.field, ball.dim, lambda v: reduce_fn(ball.coords(v)[None, :])[0])
@@ -180,9 +177,6 @@ class PSModel:
             term = ps.ps_act(upper_u(self.p, lam) * t_mat(self.p), v)
             out = term if out is None else out + term
         return compress(out)
-
-    def i1_fixed_basis(self, level: int):
-        return ps.i1_invariants(self.chi, level, self.n_max)
 
     def frame(self, vectors):
         level = max([v.level for v in vectors] + [1])
@@ -307,13 +301,6 @@ def proportionality(model, v, w):
     return None
 
 
-def in_span(model, vectors, target) -> bool:
-    frame = model.frame(vectors + [target])
-    M = frame.matrix(vectors)
-    t = frame.vec(target)[None, :]
-    return xf.rank_codes(model.field, np.concatenate([M, t])) == xf.rank_codes(model.field, M)
-
-
 # ---------------------------------------------------------------------------
 # K-spans as finite modules
 # ---------------------------------------------------------------------------
@@ -338,13 +325,13 @@ def k_span_module(model, v):
             if not model.equal(model.act(k1g, b), b):
                 raise RuntimeError("K-span is not trivial under K_1")
     frame = model.frame(span)
-    B = frame.matrix(span)
+    solver = xf.CachedSolver(model.field, frame.matrix(span).T)
     gens = {}
     for name, g in named.items():
         img = frame.matrix([model.act(g, b) for b in span])
         cols = []
         for row in img:
-            x, _, cert = xf.solve_codes(model.field, B.T, row)
+            x, cert = solver.solve(row)
             if cert is not None:
                 raise RuntimeError("K-span closure failure")
             cols.append(x)
@@ -904,7 +891,7 @@ def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
         if cert is not None:
             raise RuntimeError("image basis escaped the structure maps")
         Y.append(y)
-    kerS = xf.kernel_codes(field, S)
+    kerS = solver_S.kernel()
 
     R_of = [
         np.concatenate([

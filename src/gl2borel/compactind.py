@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactfield as xf
-from .exactfield import Field, FieldElem
+from .exactfield import Field
 from .fqweights import Weight
 from .padicmat import (
     Mat2,
@@ -472,25 +472,6 @@ def one_mod_p_unit_gens(p: int, N: int) -> list:
     return [2**N - 1, 5]
 
 
-def full_unit_gens(p: int, N: int) -> list:
-    """Generators of all units modulo p^N."""
-    if p == 2:
-        return one_mod_p_unit_gens(2, N) or [1]
-    # a primitive root mod p^2 is primitive mod every p^N
-    span = p * p
-    target = span - p  # group order mod p^2
-    for g in range(2, span):
-        if g % p == 0:
-            continue
-        x, order = g, 1
-        while x != 1:
-            x = x * g % span
-            order += 1
-        if order == target:
-            return [g]
-    raise RuntimeError("no primitive root found")
-
-
 def i1_generators(p: int, N: int) -> list:
     """Topological generators of the pro-p Iwahori, enough modulo level N."""
     gens = [upper_u(p, 1), lower_u(p, p)]
@@ -500,38 +481,9 @@ def i1_generators(p: int, N: int) -> list:
     return gens
 
 
-def k_generators(p: int, N: int) -> list:
-    """Generators of K = GL2(Z_p) modulo level N."""
-    gens = [upper_u(p, 1), lower_u(p, 1), s_mat(p)]
-    for u in full_unit_gens(p, N):
-        gens.append(diag(p, u, 1))
-        gens.append(diag(p, 1, u))
-    return gens
-
-
 def k1_check_gens(p: int) -> list:
     gens = [upper_u(p, p), lower_u(p, p), diag(p, 1 + p, 1), diag(p, 1, 1 + p)]
     return gens
-
-
-def reduce_mod_rows(field: Field, subspace_rows: np.ndarray):
-    """Projection-like reducer: returns (rref_rows, pivots, reduce_fn) with
-    reduce_fn mapping a coordinate matrix (rows = vectors) to representatives
-    modulo the row space."""
-    rows = np.asarray(subspace_rows, dtype=np.int64)
-    if rows.size == 0:
-        eye_reduce = lambda M: np.asarray(M, dtype=np.int64)
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0), [], eye_reduce
-    R, piv = xf.rref(field, rows)
-    U = R[: len(piv)]
-
-    def reduce_fn(M):
-        # U is fully reduced (each pivot column is zero in the other rows), so
-        # the coefficients of the reduction are the entries of M at the pivots
-        M = np.asarray(M, dtype=np.int64)
-        return xf.sub(field, M, xf.mat_mul_codes(field, M[:, piv], U))
-
-    return U, piv, reduce_fn
 
 
 def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
@@ -552,7 +504,7 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
         inner = BallIndex(weight, R - ideal.degree)
         cols = [ball.coords(ideal.apply(b)) for b in inner.basis_elements()]
         U_rows = np.array(cols, dtype=np.int64) if cols else np.zeros((0, ball.dim), dtype=np.int64)
-        _, _, reduce_fn = reduce_mod_rows(field, U_rows)
+        reduce_fn = xf.IncrementalSpan(field, ball.dim, U_rows).reduce
     else:
         reduce_fn = lambda M: M
 
@@ -579,8 +531,7 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
     # drop representatives that die in the quotient
     span = xf.IncrementalSpan(field, ball.dim)
     out = []
-    for row in kern:
-        reduced = reduce_fn(row[None, :])[0]
+    for reduced in reduce_fn(kern):
         if np.any(reduced) and span.add(reduced):
             out.append(ball.elem(reduced))
     return out

@@ -14,6 +14,13 @@ on the basis 1, x, ..., x^{k-1}, built from x^e mod the modulus for e < 2k-1.
 No other precomputation is kept, so every supported field (q <= 13^4) takes
 the same vectorized path; matrix products over a prime field skip the digit
 split, since there a code is its own digit.
+
+One pivot loop, _eliminate, does every elimination, in one of two forms:
+- rref: the reduced echelon form alone.  kernel_codes and rank_codes read
+  it, and IncrementalSpan is seeded with it;
+- CachedSolver: the echelon form plus the row transform L with L A = R,
+  grown one column per pivot.  solve_codes is one solve and the kernel of
+  one factorization, and invert_matrix_codes returns L.
 """
 
 from __future__ import annotations
@@ -492,21 +499,25 @@ def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
     return A @ field._weights, pivots  # the digits are reduced
 
 
-def kernel_codes(field: Field, mat: np.ndarray) -> np.ndarray:
-    """Basis of the right kernel, rows = basis vectors, leading entry 1."""
-    A = np.asarray(mat, dtype=np.int64)
-    if A.size == 0:
-        n = A.shape[1] if A.ndim == 2 else 0
-        return np.eye(n, dtype=np.int64)
-    R, pivots = rref(field, A)
-    free = [c for c in range(A.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+def _kernel_rows(field: Field, R: np.ndarray, pivots, n: int) -> np.ndarray:
+    """Right kernel of an n-column matrix read off its reduced echelon form R:
+    one basis row per free column, scaled to leading entry 1."""
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    if not free:
+        return basis
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = sub(field, 0, R[: len(pivots), free].T)
     # normalize leading entries to 1 for reproducible output
     leads = basis[np.arange(len(free)), np.argmax(basis != 0, axis=1)]
     inv = np.array([field.inv_code(int(c)) for c in leads], dtype=np.int64)
     return mul(field, basis, inv[:, None])
+
+
+def kernel_codes(field: Field, mat: np.ndarray) -> np.ndarray:
+    """Basis of the right kernel, rows = basis vectors, leading entry 1."""
+    R, pivots = rref(field, mat)
+    return _kernel_rows(field, R, pivots, R.shape[1])
 
 
 def rank_codes(field: Field, mat: np.ndarray) -> int:
@@ -524,50 +535,36 @@ def solve_codes(field: Field, A: np.ndarray, b: np.ndarray):
     certificate is a left null vector v with v A = 0 and v . b != 0.
     """
     A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    m, n = A.shape
-    if b.shape != (m,):
+    if np.shape(b) != A.shape[:1]:
         raise ValueError("dimension mismatch between matrix and rhs")
-    aug = np.concatenate([A, b[:, None], np.eye(m, dtype=np.int64)], axis=1)
-    R, pivots = rref(field, aug)
-    # pivots are reported in the combined matrix; split them
-    col_b = n
-    if col_b in pivots:
-        # inconsistent: the row whose pivot is the rhs column certifies it
-        ri = pivots.index(col_b)
-        cert = R[ri, col_b + 1:]
-        kern = kernel_codes(field, A)
-        return None, kern, cert
-    x = np.zeros(n, dtype=np.int64)
-    for ri, pc in enumerate(pivots):
-        if pc < n:
-            x[pc] = R[ri, col_b]
-    kern = kernel_codes(field, A)
-    return x, kern, None
+    solver = CachedSolver(field, A)
+    x, cert = solver.solve(b)
+    return x, solver.kernel(), cert
 
 
 def invert_matrix_codes(field: Field, A: np.ndarray) -> np.ndarray:
+    """A^{-1}: the row transform L with L A = I, once A has full rank."""
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("dimension mismatch")
-    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
+    solver = CachedSolver(field, A)
+    if solver.rank != n:
         raise ValueError("matrix is singular")
-    return R[:, n:]
+    return solver.L
 
 
 class CachedSolver:
     """Factor A once and answer A x = b queries with exact certificates.
 
     The row transform L with L A = R (R echelon, pivot columns unit) is kept,
-    so each query costs one matrix-vector product.  L, R and the pivots are
-    those of rref([A | I_m], pivot_limit=n), entry for entry, but the
-    identity block is never eliminated: a row gets its transform column only
-    when it becomes a pivot row, and every other row keeps its identity
-    column, so each pivot updates at most m x (n + 1) cells instead of
-    m x (n + m).
+    so each query costs one matrix-vector product, and the kernel of A is
+    read off R.  L, R and the pivots are those of rref([A | I_m],
+    pivot_limit=n), entry for entry, but the identity block is never
+    eliminated: `_eliminate` grows a row's transform column only when that
+    row becomes a pivot row, and every other row keeps its identity column,
+    so each pivot updates at most m x (n + 1) cells instead of m x (n + m).
+    solve_codes and invert_matrix_codes are this factorization.
     """
 
     def __init__(self, field: Field, A: np.ndarray):
@@ -603,32 +600,43 @@ class CachedSolver:
             x[pc] = c[ri]
         return x, None
 
+    def kernel(self) -> np.ndarray:
+        """Basis of the right kernel of A, the rows of kernel_codes(A)."""
+        return _kernel_rows(self.field, self.R, self.pivots, self.n)
+
 
 class IncrementalSpan:
-    """A growing subspace kept in reduced echelon form, one row at a time."""
+    """A subspace kept in reduced echelon form: seeded with one rref of
+    `rows`, then grown one vector at a time by add.  The rows are in the
+    order their leads were found, every lead column is a unit vector, and
+    reduce gives representatives modulo the span."""
 
-    def __init__(self, field: Field, dim: int):
+    def __init__(self, field: Field, dim: int, rows=None):
         self.field = field
         self.width = dim
         self.rows = np.zeros((0, dim), dtype=np.int64)
         self.leads = []
+        if rows is not None:
+            R, self.leads = rref(field, rows)
+            self.rows = R[: len(self.leads)]
 
     @property
     def dim(self) -> int:
         return len(self.leads)
 
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        # every lead column is zero in the other rows, so the coefficients
-        # of the reduction are the entries of vec at the leads
-        vec = np.asarray(vec, dtype=np.int64)
-        return sub(self.field, vec, _matmul(self.field, vec[None, self.leads], self.rows)[0])
+    def reduce(self, M) -> np.ndarray:
+        """The rows of M minus their components along the span: every lead
+        column is zero in the other rows, so the coefficients of the
+        reduction are the entries of M at the leads."""
+        M = np.asarray(M, dtype=np.int64)
+        return sub(self.field, M, _matmul(self.field, M[:, self.leads], self.rows))
 
     def contains(self, vec) -> bool:
-        return not np.any(self._reduce(vec))
+        return not np.any(self.reduce(np.asarray(vec)[None, :]))
 
     def add(self, vec) -> bool:
         """Insert the vector; True when it enlarged the span."""
-        v = self._reduce(vec)
+        v = self.reduce(np.asarray(vec)[None, :])[0]
         nz = np.flatnonzero(v)
         if nz.size == 0:
             return False

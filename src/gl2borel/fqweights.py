@@ -308,27 +308,15 @@ class FiniteKModule:
     def span_closure(self, rows: np.ndarray) -> np.ndarray:
         """Smallest K-stable subspace containing the given row vectors,
         returned as an RREF basis (rows)."""
-        basis = _rref_rows(self.field, np.asarray(rows, dtype=np.int64))
+        basis = xf.IncrementalSpan(self.field, self.dim, rows).rows
         while True:
             new = [basis]
             for A in self.gens.values():
                 new.append(xf.mat_mul_codes(self.field, basis, A.T))
-            bigger = _rref_rows(self.field, np.concatenate(new))
+            bigger = xf.IncrementalSpan(self.field, self.dim, np.concatenate(new)).rows
             if bigger.shape[0] == basis.shape[0]:
                 return basis
             basis = bigger
-
-
-def _rref_rows(field, rows):
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    R, piv = xf.rref(field, rows)
-    return R[: len(piv)]
-
-
-def weight_module(w: Weight) -> FiniteKModule:
-    return w.k_module()
 
 
 def induce_from_iwahori(chi: TorusCharacter) -> FiniteKModule:
@@ -427,8 +415,7 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
         return IrreducibilityVerdict("inconclusive", detail="no U-fixed vectors")
 
     # restrict the torus generators to the U-fixed space
-    d1 = _restrict(field, mod.gens["dg1"], ufix)
-    d2 = _restrict(field, mod.gens["d1g"], ufix)
+    d1, d2 = _restrict(field, [mod.gens["dg1"], mod.gens["d1g"]], ufix)
     g = field.from_int(primitive_root(p)) if p > 2 else field.one()
     wdim = ufix.shape[0]
     weye = np.eye(wdim, dtype=np.int64)
@@ -469,16 +456,20 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
         detail=f"irreducible over {field!r} but commutant has dim {cdim}")
 
 
-def _restrict(field, A, basis_rows):
-    """Matrix of A on the subspace spanned by basis_rows (must be stable)."""
-    img = xf.mat_mul_codes(field, basis_rows, A.T)  # rows = images
-    cols = []
-    for row in img:
-        x, _, cert = xf.solve_codes(field, basis_rows.T, row)
-        if cert is not None:
-            raise ValueError("subspace not stable")
-        cols.append(x)
-    return np.array(cols, dtype=np.int64).T
+def _restrict(field, mats, basis_rows):
+    """Matrices of mats on the subspace spanned by basis_rows (must be stable)."""
+    solver = xf.CachedSolver(field, basis_rows.T)
+    out = []
+    for A in mats:
+        img = xf.mat_mul_codes(field, basis_rows, A.T)  # rows = images
+        cols = []
+        for row in img:
+            x, cert = solver.solve(row)
+            if cert is not None:
+                raise ValueError("subspace not stable")
+            cols.append(x)
+        out.append(np.array(cols, dtype=np.int64).T)
+    return out
 
 
 def _enumerate_lines(field, basis_rows):
@@ -507,7 +498,7 @@ def _enumerate_lines(field, basis_rows):
 
 def restrict_module(mod: FiniteKModule, basis_rows: np.ndarray) -> FiniteKModule:
     """The module structure on a stable subspace, in the given basis."""
-    gens = {name: _restrict(mod.field, A, basis_rows) for name, A in mod.gens.items()}
+    gens = dict(zip(mod.gens, _restrict(mod.field, mod.gens.values(), basis_rows)))
     return FiniteKModule(mod.field, basis_rows.shape[0], gens,
                          provenance=f"submodule of [{mod.provenance}]")
 

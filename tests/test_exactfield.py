@@ -11,6 +11,7 @@ from gl2borel.exactfield import (
     IncrementalSpan,
     add,
     field_arith,
+    invert_matrix_codes,
     kernel_codes,
     mat_mul_codes,
     mat_vec_codes,
@@ -348,6 +349,29 @@ SOLVER_SHAPES = [(4, 9, 4), (9, 4, 4), (6, 6, 0), (7, 7, 7), (8, 10, 5), (10, 8,
                  (1, 5, 1), (5, 1, 1), (0, 3, 0), (3, 0, 0)]
 
 
+def _solve_by_full_elimination(F, A, b):
+    """The reference solve: eliminate [A | b | I_m] in full, read x off the
+    b column, and the kernel off the A block (free columns 1, pivot columns
+    minus the free column of R, leading entries scaled to 1)."""
+    m, n = A.shape
+    R, piv = rref(F, np.concatenate([A, b[:, None], np.eye(m, dtype=np.int64)], axis=1))
+    a_piv = [c for c in piv if c < n]
+    free = [c for c in range(n) if c not in a_piv]
+    kern = np.zeros((len(free), n), dtype=np.int64)
+    for i, f in enumerate(free):
+        kern[i, f] = 1
+        for ri, pc in enumerate(a_piv):
+            kern[i, pc] = F.neg_code(int(R[ri, f]))
+        inv = F.inv_code(int(kern[i, np.flatnonzero(kern[i])[0]]))
+        kern[i] = [F.mul_codes(int(c), inv) for c in kern[i]]
+    if n in piv:
+        return None, kern
+    x = np.zeros(n, dtype=np.int64)
+    for ri, pc in enumerate(a_piv):
+        x[pc] = R[ri, n]
+    return x, kern
+
+
 @pytest.mark.parametrize("F", SOLVER_FIELDS, ids=repr)
 def test_cached_solver_matches_full_elimination(F):
     rng = np.random.default_rng(F.size)
@@ -361,6 +385,48 @@ def test_cached_solver_matches_full_elimination(F):
             assert solver.rank == len(piv) <= rank
             assert np.array_equal(solver.R, R[:, :n])
             assert np.array_equal(solver.L, R[:, n:])
+            assert np.array_equal(solver.kernel(), kernel_codes(F, A))
+            if m == n:
+                if solver.rank == n:
+                    full, _ = rref(F, np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1))
+                    assert np.array_equal(invert_matrix_codes(F, A), full[:, n:])
+                else:
+                    with pytest.raises(ValueError, match="singular"):
+                        invert_matrix_codes(F, A)
+            # one consistent right-hand side (A times a vector) and one random
+            for b in (mat_vec_codes(F, A, rng.integers(0, F.size, size=n)),
+                      rng.integers(0, F.size, size=m)):
+                x, kern, cert = solve_codes(F, A, b)
+                x_ref, kern_ref = _solve_by_full_elimination(F, A, b)
+                assert np.array_equal(kern, kern_ref)
+                if x_ref is None:
+                    assert x is None
+                    assert not np.any(_ref_mat_mul(F, cert[None, :], A))
+                    assert _ref_mat_mul(F, cert[None, :], b[:, None])[0, 0] != 0
+                else:
+                    assert cert is None and np.array_equal(x, x_ref)
+
+
+@pytest.mark.parametrize("F", SOLVER_FIELDS, ids=repr)
+def test_incremental_span_seeded_matches_grown(F):
+    """A span seeded with one rref equals the span grown row by row, and its
+    reduce is M - M[:, pivots] U with (U, pivots) the rref of the rows."""
+    rng = np.random.default_rng(F.size + 1)
+    for m, n, rank in SOLVER_SHAPES:
+        rows = _solver_case(F, rng, m, n, rank)
+        seeded = IncrementalSpan(F, n, rows)
+        grown = IncrementalSpan(F, n)
+        for row in rows:
+            grown.add(row)
+        order = np.argsort(grown.leads)
+        assert seeded.leads == sorted(grown.leads)
+        assert np.array_equal(seeded.rows, grown.rows[order])
+        R, piv = rref(F, rows)
+        U = R[: len(piv)]
+        M = rng.integers(0, F.size, size=(4, n))
+        expected = sub(F, M, mat_mul_codes(F, M[:, piv], U))
+        assert np.array_equal(seeded.reduce(M), expected)
+        assert np.array_equal(grown.reduce(M), expected)
 
 
 @st.composite
