@@ -695,18 +695,13 @@ def _quotient_ball_dim(model, r_target):
 
 def _covers(model, vectors, targets) -> bool:
     frame = model.frame(vectors + targets)
-    span = xf.IncrementalSpan(model.field, frame.dim)
-    for v in vectors:
-        span.add(frame.vec(v))
-    return all(span.contains(frame.vec(t)) for t in targets)
+    span = xf.IncrementalSpan(model.field, frame.dim, frame.matrix(vectors))
+    return not np.any(span.reduce(frame.matrix(targets)))
 
 
 def _quotient_span_dim(model, vectors) -> int:
     frame = model.frame(vectors)
-    span = xf.IncrementalSpan(model.field, frame.dim)
-    for v in vectors:
-        span.add(frame.vec(v))
-    return span.dim
+    return xf.rank_codes(model.field, frame.matrix(vectors))
 
 
 # ---------------------------------------------------------------------------

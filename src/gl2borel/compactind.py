@@ -7,12 +7,17 @@ labels by left multiplication; the Hecke operator is pinned by its value on
 the canonical generator phi = [1, v0] and extended linearly and
 G-equivariantly, which keeps every computation inside finite balls.
 
-Translating a label is compiled: g rep(v) = rep(v') p^j k with k in K, and
-the pair (v', residue matrix of k mod p) is kept per (g, v) in a bounded
-cache, so a summand costs one lookup and one product with the weight's
-cached matrix of that residue.  On a miss the pair comes from
-`vertex_normalize` and `fxk_factor`, which stay the exact reference it is
-tested against, with every check they make.
+Translating a label runs in Python integers.  A vertex is a homothety class
+of lattices, so g rep(v) = rep(v') p^j k with k in K is read off the integer
+matrix N = (L g)(p^t rep(v)), where L clears the denominators of g and p^t
+those of rep(v): one column operation in SL_2(Z) makes N upper triangular,
+the valuations of its diagonal give v', and k comes from N by exact division.
+Both scalars are central; only the prime-to-p part of L survives, as the unit
+it multiplies the residue matrix of k by.  The pair (v', residue matrix) is
+kept in a bounded cache keyed on N, so a summand costs one integer product,
+one lookup and one product with the weight's cached matrix of that residue.
+`padicmat.vertex_normalize` and `fxk_factor` are the exact reference the
+integer path is tested against.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ from .padicmat import (
     Mat2,
     TreeVertex,
     diag,
-    fxk_factor,
     lower_u,
     pi_mat,
     s_mat,
     t_mat,
     upper_u,
-    vertex_normalize,
+    vp_split,
 )
 
 DEFAULT_R_MAX = 4
@@ -146,26 +150,95 @@ def phi_element(weight: Weight) -> CindElement:
     return CindElement(weight, {base: v0})
 
 
+def _integer_form(g: Mat2):
+    """((A, B, C, D), u): L g = [[A, B], [C, D]] over Z as
+    `Mat2.integral_form` gives it, and u the inverse mod p of the prime-to-p
+    part of L (the p-part of L is central in F^x K)."""
+    L, G = g.integral_form()
+    return G, pow(vp_split(L, g.p)[1], -1, g.p)
+
+
+def _vertex_ints(vert: TreeVertex):
+    """(P, X, S) with p^t rep(vert) = [[P, X], [0, S]] over Z and S = p^t the
+    least power of p that makes it integral."""
+    p, d, a = vert.p, vert.d, vert.a.frac
+    S = max(a.denominator, p ** max(-d, 0))  # both are powers of p
+    P = p**d * S if d >= 0 else S // p**-d
+    return P, a.numerator * (S // a.denominator), S
+
+
+def _ext_gcd(a: int, b: int):
+    """(g, x, y) with x a + y b = g = gcd(a, b) > 0, for (a, b) != (0, 0)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
 @lru_cache(maxsize=4096)
-def _translate(g: Mat2, vert: TreeVertex):
-    """(v', residue matrix of k) with g rep(vert) = rep(v') p^j k, k in K."""
-    nv, kz = vertex_normalize(g * vert.rep())
-    _, k = fxk_factor(kz)  # central p-powers act trivially
-    return nv, Weight.reduce_k(k)
+def _translate(p: int, u: int, A: int, B: int, C: int, D: int):
+    """(v', residue matrix of k) with N = [[A, B], [C, D]] = rep(v') p^j k / u
+    over Z_p, k in K: the translate of a vertex whose integer form, times the
+    integer form of g, is N (u as `_integer_form` gives it).
+
+    The column operation [[D/g0, x], [-C/g0, y]] in SL_2(Z), with g0 = gcd(C, D)
+    = x C + y D, makes N upper triangular, [[det N / g0, A x + B y], [0, g0]].
+    With e1, e2 the valuations of its diagonal, v' = (e1 - e2, a') where a' is
+    (A x + B y) / g0 reduced mod p^(e1 - e2) as `canonical_mod` reduces it, and
+    k = [[p^e2, -X], [0, p^e1]] N / p^(e1 + e2) with X = a' p^e2 an integer.
+    Raises ValueError unless every entry of k divides exactly and k is
+    invertible mod p, so a wrong factor can never be cached."""
+    det = A * D - B * C
+    if not det:
+        raise ValueError("singular matrix")
+    if C:
+        g0, x, y = _ext_gcd(C, D)
+        top, right = det // g0, A * x + B * y
+    else:
+        g0, top, right = D, A, B
+    e1 = vp_split(top, p)[0]
+    e2, delta = vp_split(g0, p)
+    a, X = 0, 0
+    if right:
+        b, beta = vp_split(right, p)
+        if b < e1:  # a' = c p^(b - e2) with c a unit mod p^(e1 - b)
+            span = p ** (e1 - b)
+            X = beta * pow(delta, -1, span) % span * p**b
+            a = Fraction(X, p**e2)
+    pe1, pe2 = p**e1, p**e2
+    den = pe1 * pe2
+    k = []
+    for entry in (pe2 * A - X * C, pe2 * B - X * D, pe1 * C, pe1 * D):
+        q, rem = divmod(entry, den)
+        if rem:
+            raise ValueError("not in F^x K")
+        k.append(u * q % p)
+    if (k[0] * k[3] - k[1] * k[2]) % p == 0:
+        raise ValueError("not in F^x K")
+    return TreeVertex(p, e1 - e2, a), ((k[0], k[1]), (k[2], k[3]))
 
 
-def _translate_into(acc: dict, g: Mat2, w: Weight, summands):
-    """Add [g x, v] to acc (vertex -> code vector) for each (x, codes of v)."""
-    for vert, codes in summands:
-        nv, kbar = _translate(g, vert)
+def _translate_into(acc: dict, G, u: int, w: Weight, summands):
+    """Add [g x, v] to acc (vertex -> code vector) for each (integer form of
+    x, codes of v), with (G, u) the integer form of g."""
+    p = w.p
+    A, B, C, D = G
+    for (P, X, S), codes in summands:
+        nv, kbar = _translate(p, u, A * P, A * X + B * S, C * P, C * X + D * S)
         term = xf.mat_vec_codes(w.field, w.residue_action(kbar), codes)
         acc[nv] = xf.add(w.field, acc[nv], term) if nv in acc else term
 
 
 def act(g: Mat2, f: CindElement) -> CindElement:
     """Left translation on labels: [x, v] |-> [g x, v], renormalized."""
+    if g.p != f.weight.p:
+        raise ValueError("prime mismatch")
+    G, u = _integer_form(g)
     acc = {}
-    _translate_into(acc, g, f.weight, f.codes())
+    _translate_into(acc, G, u, f.weight,
+                    ((_vertex_ints(v), codes) for v, codes in f.codes()))
     return CindElement.from_codes(f.weight, acc)
 
 
@@ -216,13 +289,16 @@ def hecke_T(f: CindElement, variant: str = "default") -> CindElement:
     w = f.weight
     ks, S_inv, tphi = _hecke_data(w, variant)
     tverts, tcodes = zip(*tphi.codes())
+    tints = [_vertex_ints(v) for v in tverts]
+    kints = [k.integral_form()[1] for k in ks]  # k_j is integral, so L = 1
     acc = {}
     for vert, codes in f.codes():
         a = xf.mat_vec_codes(w.field, S_inv, codes)
-        rep = vert.rep()
-        for j, aj in enumerate(a):
+        P, X, S = _vertex_ints(vert)
+        for (k00, k01, k10, k11), aj in zip(kints, a):
             if aj:  # a_j [rep k_j x, v] for each summand [x, v] of T phi
-                _translate_into(acc, rep * ks[j], w, zip(tverts, xf.mul(w.field, tcodes, aj)))
+                G = (P * k00 + X * k10, P * k01 + X * k11, S * k10, S * k11)
+                _translate_into(acc, G, 1, w, zip(tints, xf.mul(w.field, tcodes, aj)))
     return CindElement.from_codes(w, acc)
 
 
@@ -289,8 +365,10 @@ class HeckeIdeal:
 # balls and coordinates
 # ---------------------------------------------------------------------------
 
-def ball_vertices(p: int, R: int) -> list:
-    """All tree vertices at distance <= R, in a fixed deterministic order."""
+@lru_cache(maxsize=None)
+def ball_vertices(p: int, R: int) -> tuple:
+    """All tree vertices at distance <= R, in a fixed deterministic order;
+    one shared tuple per (p, R)."""
     out = [TreeVertex(p, 0, 0)]
     for d in range(-R, R + 1):
         if d != 0 and abs(d) <= R:
@@ -308,9 +386,7 @@ def ball_vertices(p: int, R: int) -> list:
             for c in range(1, p ** (d - w)):
                 if c % p:
                     out.append(TreeVertex(p, d, Fraction(c) * Fraction(p) ** w))
-    out = [v for v in out if v.distance() <= R]
-    out.sort(key=lambda v: v.sort_key())
-    return out
+    return tuple(sorted((v for v in out if v.distance() <= R), key=lambda v: v.sort_key()))
 
 
 def sphere_size(p: int, n: int) -> int:

@@ -17,7 +17,7 @@ s_mat = [[0,1],[1,0]], t_mat = [[p,0],[0,1]].
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .exactfield import is_prime
 
@@ -25,15 +25,16 @@ from .exactfield import is_prime
 VAL_INF = inf
 
 
-def _vp(n: int, p: int) -> int:
+def vp_split(n: int, p: int):
+    """(v_p(n), n / p^v_p(n)) of a nonzero integer; the unit part keeps the
+    sign of n."""
     if n == 0:
         raise ValueError("valuation of zero integer")
     v = 0
-    n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
 
 
 class PadicRational:
@@ -62,7 +63,7 @@ class PadicRational:
         if self.frac == 0:
             return VAL_INF
         num, den = self.frac.numerator, self.frac.denominator
-        return _vp(num, self.p) - _vp(den, self.p)
+        return vp_split(num, self.p)[0] - vp_split(den, self.p)[0]
 
     @property
     def numerator(self) -> int:
@@ -72,7 +73,7 @@ class PadicRational:
     def denom_exp(self) -> int:
         if self.frac == 0:
             return 0
-        return _vp(self.frac.denominator, self.p)
+        return vp_split(self.frac.denominator, self.p)[0]
 
     @property
     def denom_unit(self) -> int:
@@ -206,6 +207,13 @@ class Mat2:
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
+
+    def integral_form(self):
+        """(L, (A, B, C, D)): L the least common denominator of the entries
+        and L g = [[A, B], [C, D]] over Z."""
+        fracs = [e.frac for e in self.entries()]
+        L = lcm(*(x.denominator for x in fracs))
+        return L, tuple(x.numerator * (L // x.denominator) for x in fracs)
 
     def __mul__(self, other):
         if not isinstance(other, Mat2):

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
 from . import exactfield as xf
 from .exactfield import FieldElem
 from .fqweights import TorusCharacter
-from .padicmat import Mat2, PadicRational, lower_u, s_mat, t_mat, upper_u
+from .padicmat import Mat2, PadicRational, lower_u, s_mat, t_mat, upper_u, vp_split
 from .compactind import i1_generators
 
 DEFAULT_N_MAX = 4
@@ -196,15 +195,6 @@ def _raised_level(g: Mat2, level: int, n_max: int) -> int:
     return new_level
 
 
-def _vu(n: int, p: int):
-    """(v_p(n), n / p^v_p(n)) of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 @lru_cache(maxsize=1024)
 def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     """Right translation by g from `level` as a monomial table (src, coef):
@@ -220,8 +210,7 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     chi(b) depends only on the sign, the valuation and the unit residue mod p
     of D' (or C'), so it is computed once per such key."""
     p = chi.p
-    L = lcm(*(e.frac.denominator for e in g.entries()))
-    A, B, C, D = (int(e.frac * L) for e in g.entries())
+    L, (A, B, C, D) = g.integral_form()
     det_L = g.det().frac * L
     new_level = level + level_shift(g)
     rows = [(x * A + C, x * B + D, 1) for x in range(p**new_level)]
@@ -231,11 +220,11 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     coef = np.empty(len(rows), dtype=np.int64)
     chi_b = {}
     for i, (c, d, sign) in enumerate(rows):
-        e, u = _vu(d, p) if d else (0, 0)
+        e, u = vp_split(d, p) if d else (0, 0)
         if d and c % p**e == 0:  # the affine branch: x' = C'/D'
             src[i] = c // p**e * pow(u, -1, q) % q
         else:  # the infinity branch: y' = D'/(p C'), 0 at level 1
-            e, u = _vu(c, p)
+            e, u = vp_split(c, p)
             sign = -sign
             src[i] = q + d // p ** (e + 1) * pow(u, -1, q_inf) % q_inf
         key = (sign, e, u % p)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2borel import exactfield as xf
 from gl2borel.compactind import (
@@ -13,7 +15,9 @@ from gl2borel.compactind import (
     TruncationError,
     _hecke_data,
     _ideal_solver,
+    _integer_form,
     _translate,
+    _vertex_ints,
     act,
     ball_vertices,
     hecke_T,
@@ -368,7 +372,24 @@ def test_act_matches_reference_on_random_words(w):
         assert act(g, act(h, f)) == act(g * h, f)
 
 
+def _integer_translation(g, vert, cached=True):
+    """(v', residue matrix) of g rep(vert) as act computes it: the integer
+    forms of g and of the vertex, multiplied, then `_translate`."""
+    (A, B, C, D), u = _integer_form(g)
+    P, X, S = _vertex_ints(vert)
+    translate = _translate if cached else _translate.__wrapped__
+    return translate(g.p, u, A * P, A * X + B * S, C * P, C * X + D * S)
+
+
+def _reference_translation(g, vert):
+    nv, kz = vertex_normalize(g * vert.rep())
+    _, k = fxk_factor(kz)
+    return nv, Weight.reduce_k(k)
+
+
 def test_translation_cache_hits_equal_matrices():
+    # the cache key is (p, u, N) in Python integers, so an equal but distinct
+    # twin of g finds every translation that g left behind
     p = 3
     w = Weight(p, 1, 0)
     f = _random_element(w, random.Random(11))
@@ -377,6 +398,8 @@ def test_translation_cache_hits_equal_matrices():
     before = _translate.cache_info()
     twin = Mat2(p, *g.entries())
     assert twin == g and twin is not g
+    G, u = _integer_form(twin)
+    assert all(type(x) is int for x in (*G, u))
     assert act(twin, f) == act(g, f)
     after = _translate.cache_info()
     assert after.misses == before.misses
@@ -384,13 +407,57 @@ def test_translation_cache_hits_equal_matrices():
 
 
 def test_translation_cache_stays_bounded():
+    # 4146 translations with pairwise distinct integer keys fill the cache
+    # to its bound and no further
     p = 3
     w = Weight(p, 1, 0)
     phi = phi_element(w)
     bound = _translate.cache_info().maxsize
     for x in range(bound + 50):
         act(upper_u(p, Fraction(x, p)), phi)
-    assert _translate.cache_info().currsize <= bound
+    assert _translate.cache_info().currsize == bound
+
+
+@st.composite
+def translation_cases(draw):
+    """(g, vertex): g with entries that may be zero, negative, above 2^63, or
+    carry p and other primes in the denominator; a vertex of radius <= 3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    num = st.one_of(st.sampled_from([0, 1, -1, p, -p]), st.integers(-2**70, 2**70))
+    den = st.builds(lambda n, e: n * p**e, st.integers(1, 30), st.integers(0, 3))
+    entry = st.builds(Fraction, num, den)
+    a, b, c, d = draw(st.tuples(entry, entry, entry, entry).filter(
+        lambda m: m[0] * m[3] != m[1] * m[2]))
+    return Mat2(p, a, b, c, d), draw(st.sampled_from(ball_vertices(p, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(translation_cases())
+def test_integer_translation_matches_vertex_normalize(case):
+    g, vert = case
+    assert _integer_translation(g, vert, cached=False) == _reference_translation(g, vert)
+
+
+def test_unit_scalar_scales_residue_matrix():
+    # 2 is a unit at p = 3: 2 g and g / 2 move every vertex as g does, and
+    # multiply the residue matrix of k by 2 (2^-1 = 2 mod 3)
+    p = 3
+    rng = random.Random(13)
+    for vert in ball_vertices(p, 2):
+        g = random_group_word(p, rng, 6)
+        nv, kbar = _integer_translation(g, vert)
+        scaled = tuple(tuple(2 * e % p for e in row) for row in kbar)
+        assert kbar != scaled
+        for h in (g.scale(2), g.scale(Fraction(1, 2))):
+            assert _integer_translation(h, vert) == (nv, scaled) == _reference_translation(h, vert)
+
+
+def test_translation_rejects_singular_matrices():
+    p = 3
+    with pytest.raises(ValueError, match="singular"):
+        _translate.__wrapped__(p, 1, 2, 4, 3, 6)
+    with pytest.raises(ValueError, match="singular"):
+        act(Mat2(p, 1, 2, 2, 4, check=False), phi_element(Weight(p, 1, 0)))
 
 
 def test_residue_matrices_cached_read_only():
