@@ -108,12 +108,11 @@ class CindModel:
         if radius in self._frames:
             return self._frames[radius]
         ball = ci.BallIndex(self.weight, radius)
+        reduce = None
         if self.ideal is not None and radius - self.ideal.degree >= 0:
             A, _, _ = ci.ideal_matrix(self.weight, self.ideal, radius - self.ideal.degree)
-            reduce_fn = xf.IncrementalSpan(self.field, ball.dim, A.T).reduce
-        else:
-            reduce_fn = lambda M: np.asarray(M, dtype=np.int64)
-        frame = _Frame(self.field, ball.dim, lambda v: reduce_fn(ball.coords(v)[None, :])[0])
+            reduce = xf.IncrementalSpan(self.field, ball.dim, A.T).reduce
+        frame = _Frame(self.field, ball.dim, ball.coords, reduce)
         self._frames[radius] = frame
         return frame
 
@@ -181,7 +180,7 @@ class PSModel:
     def frame(self, vectors):
         level = max([v.level for v in vectors] + [1])
         dim = self.p**level + self.p ** (level - 1)
-        return _Frame(self.field, dim, lambda v: v.refine(level).table.copy())
+        return _Frame(self.field, dim, lambda v: v.refine(level).table)
 
     def level_hint(self, vectors) -> int:
         return max([v.level for v in vectors] + [1])
@@ -212,17 +211,24 @@ def compress(f: ps.PSFunction) -> ps.PSFunction:
 
 
 class _Frame:
-    """Fixed coordinate chart for a batch of model vectors."""
+    """Fixed coordinate chart for a batch of model vectors: the coordinates
+    of each vector, then one reduction of the stacked rows (modulo a
+    subspace, for a quotient) when `reduce` is given."""
 
-    def __init__(self, field, dim, vec_fn):
+    def __init__(self, field, dim, coords, reduce=None):
         self.field = field
         self.dim = dim
-        self.vec = vec_fn
+        self.coords = coords
+        self.reduce = reduce
 
     def matrix(self, vectors) -> np.ndarray:
         if not vectors:
             return np.zeros((0, self.dim), dtype=np.int64)
-        return np.stack([self.vec(v) for v in vectors])
+        M = np.stack([self.coords(v) for v in vectors])
+        return M if self.reduce is None else self.reduce(M)
+
+    def vec(self, v) -> np.ndarray:
+        return self.matrix([v])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +580,9 @@ def lemma_next(model, v, char_exps):
 def recursion(model, v0, bound: int = 10):
     """Iterate v_{i+1} = sum_lambda u(lift) t v_i until zero (or the bound);
     every iterate is re-verified I1-fixed and the whole sequence is
-    recomputed independently for the report."""
+    recomputed independently for the report.  When an iterate or its zero
+    test outgrows the truncation budget, the report carries the reason and
+    the iterates computed so far."""
     report = {"model": model.describe(), "bound": bound, "checks": []}
     if model.is_zero(v0):
         raise ValueError("v0 is zero")
@@ -583,13 +591,15 @@ def recursion(model, v0, bound: int = 10):
     for i in range(bound):
         try:
             nxt = model.hecke_sum(seq[-1])
+            seq.append(nxt)
+            zero = model.is_zero(nxt)
         except (ci.TruncationError, ps.LevelOverflowError) as exc:
+            report["sequence"] = seq
             report["terminated"] = False
             report["reason"] = f"budget: {exc}"
             report["n"] = None
             return report
-        seq.append(nxt)
-        if model.is_zero(nxt):
+        if zero:
             n = i + 1
             break
     report["sequence"] = seq
@@ -688,8 +698,8 @@ def _quotient_ball_dim(model, r_target):
     out = []
     for window in (r_target + 1, r_target + 2):
         frame = model._frame_at(window)
-        rows = [frame.vec(b) for b in ci.BallIndex(model.weight, r_target).basis_elements()]
-        out.append(xf.rank_codes(model.field, np.stack(rows)))
+        basis = list(ci.BallIndex(model.weight, r_target).basis_elements())
+        out.append(xf.rank_codes(model.field, frame.matrix(basis)))
     return out[0], out[1]
 
 

@@ -437,9 +437,16 @@ def suite_recursion(cfg: RunConfig):
     rep = bl.recursion(model, model.generator(), bound=cfg.bound)
     cert = {"p": p, "weight": list(cfg.weight), "ideal": cfg.ideal,
             "bound": cfg.bound, "certified_radius_max": ci.DEFAULT_R_MAX}
+    if "reason" in rep:
+        # a budget stop: the truncation ended the run, not the recursion
+        steps, radius = len(rep["sequence"]) - 1, rep["sequence"][-1].radius()
+        out.append(check("recursion-terminates", False,
+                         f"{rep['reason']}; iterate {steps} reached radius {radius}",
+                         {**cert, "n": None, "radius_reached": radius}, inconclusive=True))
+        return out
     out.append(check("recursion-terminates", rep["terminated"],
                      f"n = {rep['n']}" if rep["terminated"] else
-                     rep.get("reason", "not terminated within bound"),
+                     "not terminated within bound",
                      {**cert, "n": rep["n"]}))
     for c in rep.get("checks", []):
         out.append(check("recursion-" + c["name"].replace(" ", "-"),

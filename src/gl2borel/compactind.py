@@ -18,6 +18,14 @@ kept in a bounded cache keyed on N, so a summand costs one integer product,
 one lookup and one product with the weight's cached matrix of that residue.
 `padicmat.vertex_normalize` and `fxk_factor` are the exact reference the
 integer path is tested against.
+
+T moves each vertex to its neighbours, so on coefficient vectors it is
+block-sparse: the block column of T at a vertex x is one dim x dim matrix
+B per vertex x', with T[x, c] the sum of the [x', B c].  It is compiled once per
+(weight, variant, vertex) from translates of T phi and kept on the weight.
+`hecke_T` sums the blocks of the vertices of its argument, and
+`ideal_matrix` composes them vertex by vertex into the columns of P(T) on a
+ball.
 """
 
 from __future__ import annotations
@@ -217,16 +225,22 @@ def _translate(p: int, u: int, A: int, B: int, C: int, D: int):
         k.append(u * q % p)
     if (k[0] * k[3] - k[1] * k[2]) % p == 0:
         raise ValueError("not in F^x K")
-    return TreeVertex(p, e1 - e2, a), ((k[0], k[1]), (k[2], k[3]))
+    return TreeVertex.canonical(p, e1 - e2, a), ((k[0], k[1]), (k[2], k[3]))
+
+
+def _translate_vertex(p: int, G, u: int, vint):
+    """(v', residue matrix of k) with g x = rep(v') p^j k, for (G, u) the
+    integer form of g and vint = (P, X, S) that of the vertex x."""
+    A, B, C, D = G
+    P, X, S = vint
+    return _translate(p, u, A * P, A * X + B * S, C * P, C * X + D * S)
 
 
 def _translate_into(acc: dict, G, u: int, w: Weight, summands):
     """Add [g x, v] to acc (vertex -> code vector) for each (integer form of
     x, codes of v), with (G, u) the integer form of g."""
-    p = w.p
-    A, B, C, D = G
-    for (P, X, S), codes in summands:
-        nv, kbar = _translate(p, u, A * P, A * X + B * S, C * P, C * X + D * S)
+    for vint, codes in summands:
+        nv, kbar = _translate_vertex(w.p, G, u, vint)
         term = xf.mat_vec_codes(w.field, w.residue_action(kbar), codes)
         acc[nv] = xf.add(w.field, acc[nv], term) if nv in acc else term
 
@@ -283,23 +297,59 @@ def _hecke_data(weight: Weight, variant: str = "default"):
     return data
 
 
+def _hecke_blocks(weight: Weight, variant: str, vertex: TreeVertex) -> dict:
+    """The block column of T at one vertex: {v': B} with T[vertex, c] the sum
+    of [v', B c], every B nonzero, read-only and kept on the weight.
+
+    Column j of V_{v'} = B_{v'} S is the part at v' of the translate of
+    T phi by rep(vertex) k_j, with S the matrix of the basis sigma(k_j) v0;
+    so B = V S_inv takes (r+1) |T phi| translations, made once per vertex."""
+    key = ("hblock", variant, vertex)
+    blocks = weight._hecke_cache.get(key)
+    if blocks is not None:
+        return blocks
+    ks, S_inv, tphi = _hecke_data(weight, variant)
+    summands = [(_vertex_ints(v), codes) for v, codes in tphi.codes()]
+    P, X, S = _vertex_ints(vertex)
+    cols = {}
+    for j, k in enumerate(ks):
+        k00, k01, k10, k11 = k.integral_form()[1]  # k_j is integral, so L = 1
+        acc = {}
+        _translate_into(acc, (P * k00 + X * k10, P * k01 + X * k11, S * k10, S * k11),
+                        1, weight, summands)
+        for nv, vec in acc.items():
+            cols.setdefault(nv, np.zeros((weight.dim, len(ks)), dtype=np.int64))[:, j] = vec
+    blocks = {}
+    for nv, V in cols.items():
+        B = xf.mat_mul_codes(weight.field, V, S_inv)
+        if B.any():
+            B.flags.writeable = False
+            blocks[nv] = B
+    weight._hecke_cache[key] = blocks
+    return blocks
+
+
+def _hecke_apply(weight: Weight, variant: str, support: dict) -> dict:
+    """T on {vertex: M} with M a dim x n code matrix (n coefficient vectors at
+    that vertex side by side): the sum over vertices of B M for each block B
+    of the vertex's block column, accumulated per target vertex."""
+    field = weight.field
+    out = {}
+    for vert, M in support.items():
+        for nv, B in _hecke_blocks(weight, variant, vert).items():
+            term = xf.mat_mul_codes(field, B, M)
+            out[nv] = xf.add(field, out[nv], term) if nv in out else term
+    return out
+
+
 def hecke_T(f: CindElement, variant: str = "default") -> CindElement:
-    """T f, computed by expanding each summand through translates of phi and
-    applying the pinned value of T on phi equivariantly."""
+    """T f from the block columns of T at the vertices of f: each coefficient
+    vector goes through the dim x dim blocks of its vertex, and the images
+    are summed per target vertex."""
     w = f.weight
-    ks, S_inv, tphi = _hecke_data(w, variant)
-    tverts, tcodes = zip(*tphi.codes())
-    tints = [_vertex_ints(v) for v in tverts]
-    kints = [k.integral_form()[1] for k in ks]  # k_j is integral, so L = 1
-    acc = {}
-    for vert, codes in f.codes():
-        a = xf.mat_vec_codes(w.field, S_inv, codes)
-        P, X, S = _vertex_ints(vert)
-        for (k00, k01, k10, k11), aj in zip(kints, a):
-            if aj:  # a_j [rep k_j x, v] for each summand [x, v] of T phi
-                G = (P * k00 + X * k10, P * k01 + X * k11, S * k10, S * k11)
-                _translate_into(acc, G, 1, w, zip(tints, xf.mul(w.field, tcodes, aj)))
-    return CindElement.from_codes(w, acc)
+    out = _hecke_apply(w, variant, {v: np.array(codes, dtype=np.int64)[:, None]
+                                    for v, codes in f.codes()})
+    return CindElement.from_codes(w, {v: M[:, 0] for v, M in out.items()})
 
 
 class HeckeIdeal:
@@ -435,16 +485,34 @@ class BallIndex:
 
 def ideal_matrix(weight: Weight, ideal: HeckeIdeal, R: int):
     """Matrix of ideal(T): ball(R) -> ball(R + deg), columns over the ball
-    basis; memoized on the weight since it backs every quotient solve."""
+    basis; memoized on the weight since it backs every quotient solve.
+
+    Column block x (the dim columns of one inner vertex) is the sum of
+    c_n T^n[x] over the coefficients c_n of the ideal, where T^n[x] is kept
+    as dim x dim blocks per vertex and T^(n+1)[x] is composed from the block
+    columns of T, so no ball element is built per basis vector."""
     key = ("idealmat", ideal.key, R)
     if key in weight._hecke_cache:
         return weight._hecke_cache[key]
     inner = BallIndex(weight, R)
     outer = BallIndex(weight, R + ideal.degree)
-    cols = []
-    for b in inner.basis_elements():
-        cols.append(outer.coords(ideal.apply(b)))
-    A = np.array(cols, dtype=np.int64).T if cols else np.zeros((outer.dim, 0), dtype=np.int64)
+    field, d = weight.field, weight.dim
+    one = field.one()
+    eye = np.eye(d, dtype=np.int64)
+    A = np.zeros((outer.dim, inner.dim), dtype=np.int64)
+    for i, x in enumerate(inner.vertices):
+        col = {}
+        power = {x: eye}
+        for n, c in enumerate(ideal.coeffs):
+            if not c.is_zero():
+                for v, M in power.items():
+                    term = M if c == one else xf.mul(field, M, c.code)
+                    col[v] = xf.add(field, col[v], term) if v in col else term
+            if n < ideal.degree:
+                power = _hecke_apply(weight, "default", power)
+        for v, M in col.items():
+            j = outer.index[v]
+            A[j * d:(j + 1) * d, i * d:(i + 1) * d] = M
     weight._hecke_cache[key] = (A, inner, outer)
     return A, inner, outer
 
@@ -577,20 +645,25 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
     field = weight.field
 
     if ideal is not None and R - ideal.degree >= 0:
-        inner = BallIndex(weight, R - ideal.degree)
-        cols = [ball.coords(ideal.apply(b)) for b in inner.basis_elements()]
-        U_rows = np.array(cols, dtype=np.int64) if cols else np.zeros((0, ball.dim), dtype=np.int64)
+        U_rows = ideal_matrix(weight, ideal, R - ideal.degree)[0].T
         reduce_fn = xf.IncrementalSpan(field, ball.dim, U_rows).reduce
     else:
         reduce_fn = lambda M: M
+    d = weight.dim
+    eye = np.eye(ball.dim, dtype=np.int64)
+    vints = [_vertex_ints(x) for x in ball.vertices]
 
     def condition_matrix(level):
+        # g sends the block of vertex x to the block of g x through the
+        # residue matrix of its K-part: one translation per vertex
         blocks = []
-        eye = np.eye(ball.dim, dtype=np.int64)
         for g in i1_generators(weight.p, level):
+            G, u = _integer_form(g)
             M = np.zeros((ball.dim, ball.dim), dtype=np.int64)
-            for j, b in enumerate(ball.basis_elements()):
-                M[:, j] = ball.coords(act(g, b))
+            for i, vint in enumerate(vints):
+                nv, kbar = _translate_vertex(weight.p, G, u, vint)
+                j = ball.index[nv]
+                M[j * d:(j + 1) * d, i * d:(i + 1) * d] = weight.residue_action(kbar)
             diff = xf.sub(field, M, eye)
             blocks.append(reduce_fn(diff.T).T)
         return np.concatenate(blocks)

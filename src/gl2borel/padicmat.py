@@ -397,6 +397,17 @@ class TreeVertex:
         self.d = d
         self.a = canonical_mod(PadicRational(p, a), d)
 
+    @classmethod
+    def canonical(cls, p: int, d: int, a) -> "TreeVertex":
+        """The vertex (d, a) for an a that is already canonical mod p^d, as
+        `canonical_mod` would return it; equal to TreeVertex(p, d, a)."""
+        out = cls.__new__(cls)
+        out._hash = None
+        out.p = p
+        out.d = d
+        out.a = PadicRational(p, a)
+        return out
+
     def rep(self) -> Mat2:
         return Mat2(self.p, Fraction(self.p) ** self.d, self.a, 0, 1, check=False)
 

@@ -166,6 +166,20 @@ def test_cli_recursion_reports_n():
     assert "n = 1" in rec["details"]
 
 
+def test_cli_recursion_budget_stop_is_inconclusive():
+    # in c-Ind/(T - 1) at p = 2 the fifth iterate has radius 5, past R_max = 4,
+    # before any iterate is zero in the quotient: the truncation stops the run
+    code, out, err = run_inproc("recursion", "--p", "2", "--ideal", "T-1")
+    assert code == 3, err
+    doc = json.loads(out)
+    assert doc["summary"] == {"pass": 0, "fail": 0, "inconclusive": 1}
+    [rec] = doc["checks"]
+    assert rec["name"] == "recursion-terminates" and rec["status"] == "inconclusive"
+    assert rec["details"].startswith("budget: truncation too small: radius 5 exceeds R_max=4")
+    assert rec["details"].endswith("; iterate 5 reached radius 5")
+    assert rec["certification"]["radius_reached"] == 5
+
+
 def test_cli_determinism_bytes():
     """Identical (config, seed) produce byte-identical reports."""
     _, out1, _ = run_inproc("identities", "--p", "3", "--trials", "25", "--seed", "5")
@@ -214,7 +228,9 @@ def test_cli_in_subprocess():
 # before every solve moved onto one elimination loop): a faster or smaller
 # path must leave every report byte as it was.  The two p=5 compact-induction
 # reports were recorded before tree vertices were translated in integer
-# arithmetic; they are the only pins that move vertices at p=5.
+# arithmetic; they are the only pins that move vertices at p=5.  The p=3
+# `recursion --ideal T^2` pin, the one degree-2 ideal at p=3, was recorded
+# before the Hecke operator was built from per-vertex block columns.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -230,6 +246,8 @@ REPORT_DIGESTS = {
         (0, "03363e4c0871f0aeb0c0db4eae249940db18529e4643ff849e1432a271b0a50b"),
     ("recursion", "--p", "5", "--ideal", "T^2"):
         (0, "5bdea606e3f0175d3493afd94a6f7e1569bc5f1b3b34114cc75d0ba26caeb8b6"),
+    ("recursion", "--p", "3", "--ideal", "T^2"):
+        (0, "914456759caf006382e38dcf6f6e56165e2b6abb5c6d269a2acea30bd8155a08"),
 }
 
 

@@ -13,6 +13,7 @@ from gl2borel.compactind import (
     HeckeIdeal,
     QuotientElement,
     TruncationError,
+    _hecke_blocks,
     _hecke_data,
     _ideal_solver,
     _integer_form,
@@ -33,6 +34,7 @@ from gl2borel.exactfield import Field, kernel_codes
 from gl2borel.fqweights import Weight
 from gl2borel.padicmat import (
     Mat2,
+    TreeVertex,
     diag,
     fxk_factor,
     lower_u,
@@ -438,6 +440,15 @@ def test_integer_translation_matches_vertex_normalize(case):
     assert _integer_translation(g, vert, cached=False) == _reference_translation(g, vert)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonical_vertex_equals_constructed_vertex(p):
+    # `_translate` builds its result from an a that is already canonical
+    for vert in ball_vertices(p, 3):
+        twin = TreeVertex.canonical(p, vert.d, vert.a.frac)
+        assert twin == vert and hash(twin) == hash(vert)
+        assert (twin.a.frac, twin.distance(), repr(twin)) == (vert.a.frac, vert.distance(), repr(vert))
+
+
 def test_unit_scalar_scales_residue_matrix():
     # 2 is a unit at p = 3: 2 g and g / 2 move every vertex as g does, and
     # multiply the residue matrix of k by 2 (2^-1 = 2 mod 3)
@@ -507,3 +518,35 @@ def test_hecke_T_matches_termwise_sum(w):
     # cancelling summands leave no zero vector behind
     phi = phi_element(w)
     assert hecke_T(phi - phi).is_zero()
+
+
+def test_hecke_blocks_cached_read_only():
+    w = Weight(3, 2, 1)
+    for variant in ("default", "alt"):
+        for vert in ball_vertices(3, 1):
+            blocks = _hecke_blocks(w, variant, vert)
+            assert _hecke_blocks(w, variant, vert) is blocks
+            assert w._hecke_cache[("hblock", variant, vert)] is blocks
+            assert set(blocks) <= set(ball_vertices(3, 2))
+            for B in blocks.values():
+                assert B.shape == (w.dim, w.dim) and B.any()
+                assert not B.flags.writeable
+                with pytest.raises(ValueError):
+                    B[0, 0] = 1
+
+
+IDEAL_MATRIX_WEIGHTS = [Weight(p, r, m) for p in (2, 3, 5) for r in sorted({0, 1, p - 1})
+                        for m in range(max(p - 1, 1))]
+
+
+@pytest.mark.parametrize("w", IDEAL_MATRIX_WEIGHTS, ids=lambda w: f"p{w.p}-{w!r}")
+def test_ideal_matrix_matches_basis_vector_columns(w):
+    # column b of the block-built matrix against ideal.apply(b) for each basis
+    # vector b of the inner ball; hecke_T, which ideal.apply runs, is checked
+    # against the termwise sum above
+    for spec in ("T", "T^2", "T-1", "T+2"):
+        ideal = HeckeIdeal.parse(w.field, spec)
+        for R in range(4 if w.p < 5 else 3):
+            A, inner, outer = ideal_matrix(w, ideal, R)
+            cols = [outer.coords(ideal.apply(b)) for b in inner.basis_elements()]
+            assert np.array_equal(A, np.array(cols, dtype=np.int64).T), (spec, R)
