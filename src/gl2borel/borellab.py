@@ -521,13 +521,13 @@ def _verify_translate_certificate(model, w, k, span_words, w2_coeffs, w2,
         rebuilt_wj = term if rebuilt_wj is None else rebuilt_wj + term
     ok = ok and model.equal(rebuilt_wj, wj)
 
-    translates = []
+    # u(lam) t d word t^k, as one product of a prefix u(lam) t d and a
+    # suffix word t^k
     torus = ([diag(p, lam, mu) for lam in range(1, p) for mu in range(1, p)]
              if p > 2 else [Mat2.identity(p)])
-    for lam in range(p):
-        for d in torus:
-            for word in span_words:
-                translates.append(upper_u(p, lam) * t_mat(p) * d * word * tk)
+    prefixes = [upper_u(p, lam) * t_mat(p) * d for lam in range(p) for d in torus]
+    suffixes = [word * tk for word in span_words]
+    translates = [pre * suf for pre in prefixes for suf in suffixes]
     return {
         "valid": bool(ok),
         "translates": [g.serialize() for g in translates],

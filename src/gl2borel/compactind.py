@@ -159,20 +159,17 @@ def phi_element(weight: Weight) -> CindElement:
 
 
 def _integer_form(g: Mat2):
-    """((A, B, C, D), u): L g = [[A, B], [C, D]] over Z as
-    `Mat2.integral_form` gives it, and u the inverse mod p of the prime-to-p
-    part of L (the p-part of L is central in F^x K)."""
-    L, G = g.integral_form()
-    return G, pow(vp_split(L, g.p)[1], -1, g.p)
+    """((A, B, C, D), u): the primitive integer form L g = [[A, B], [C, D]]
+    of g, and u the inverse mod p of the prime-to-p part of L (the p-part of
+    L is central in F^x K)."""
+    return (g.A, g.B, g.C, g.D), pow(vp_split(g.L, g.p)[1], -1, g.p)
 
 
 def _vertex_ints(vert: TreeVertex):
     """(P, X, S) with p^t rep(vert) = [[P, X], [0, S]] over Z and S = p^t the
-    least power of p that makes it integral."""
-    p, d, a = vert.p, vert.d, vert.a.frac
-    S = max(a.denominator, p ** max(-d, 0))  # both are powers of p
-    P = p**d * S if d >= 0 else S // p**-d
-    return P, a.numerator * (S // a.denominator), S
+    least power of p that makes it integral: the primitive form of rep(vert)."""
+    rep = vert.rep()
+    return rep.A, rep.B, rep.L
 
 
 def _ext_gcd(a: int, b: int):
@@ -313,9 +310,8 @@ def _hecke_blocks(weight: Weight, variant: str, vertex: TreeVertex) -> dict:
     P, X, S = _vertex_ints(vertex)
     cols = {}
     for j, k in enumerate(ks):
-        k00, k01, k10, k11 = k.integral_form()[1]  # k_j is integral, so L = 1
-        acc = {}
-        _translate_into(acc, (P * k00 + X * k10, P * k01 + X * k11, S * k10, S * k11),
+        acc = {}  # k_j is integral, so its L is 1
+        _translate_into(acc, (P * k.A + X * k.C, P * k.B + X * k.D, S * k.C, S * k.D),
                         1, weight, summands)
         for nv, vec in acc.items():
             cols.setdefault(nv, np.zeros((weight.dim, len(ks)), dtype=np.int64))[:, j] = vec

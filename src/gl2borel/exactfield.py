@@ -34,7 +34,8 @@ SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 @lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
-    # memoised: every PadicRational construction asks about its prime
+    # memoised: every Mat2 and PadicRational built from entries asks about
+    # its prime (products and decompositions reuse the prime they were given)
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exactfield as xf
 from .exactfield import Field, FieldElem
-from .padicmat import Mat2, PadicRational, in_subgroup
+from .padicmat import Mat2, PadicRational, in_subgroup, vp_split
 
 
 def primitive_root(p: int) -> int:
@@ -123,10 +123,9 @@ class Weight:
         integral."""
         if not in_subgroup(k, "K"):
             raise ValueError("not integral")
-        return tuple(
-            tuple(e.residue() for e in row)
-            for row in ((k.a, k.b), (k.c, k.d))
-        )
+        p = k.p
+        u = pow(k.L, -1, p)
+        return ((k.A * u % p, k.B * u % p), (k.C * u % p, k.D * u % p))
 
     def act(self, k: Mat2, vec) -> list:
         """weight_action: apply k in K to a coefficient vector."""
@@ -212,16 +211,26 @@ class TorusCharacter:
     def value_diag(self, alpha: PadicRational, delta: PadicRational) -> FieldElem:
         if alpha.is_zero() or delta.is_zero():
             raise ValueError("torus entries must be nonzero")
-        va, vd = alpha.valuation, delta.valuation
+        return self.value_parts(alpha.valuation, alpha.unit_residue(),
+                                delta.valuation, delta.unit_residue())
+
+    def value_parts(self, va: int, ra: int, vd: int, rd: int) -> FieldElem:
+        """The value at diag(alpha, delta) from the valuations and the unit
+        residues mod p of alpha and delta."""
         out = self.s1**va * self.s2**vd
-        out = out * self.field.from_int(alpha.unit_residue()) ** self.i1
-        out = out * self.field.from_int(delta.unit_residue()) ** self.i2
-        return out
+        out = out * self.field.from_int(ra) ** self.i1
+        return out * self.field.from_int(rd) ** self.i2
 
     def value_upper(self, b: Mat2) -> FieldElem:
+        """chi of the diagonal of b in P: alpha = A / L and delta = D / L."""
         if not in_subgroup(b, "P"):
             raise ValueError("not upper triangular")
-        return self.value_diag(b.a, b.d)
+        p = b.p
+        vl, ul = vp_split(b.L, p)
+        va, ua = vp_split(b.A, p)
+        vd, ud = vp_split(b.D, p)
+        inv = pow(ul, -1, p)
+        return self.value_parts(va - vl, ua * inv % p, vd - vl, ud * inv % p)
 
     def value_residue_pair(self, lam: int, mu: int) -> FieldElem:
         return (self.field.from_int(lam) ** self.i1) * (self.field.from_int(mu) ** self.i2)

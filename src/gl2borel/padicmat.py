@@ -1,7 +1,12 @@
 """Exact 2x2 matrix arithmetic in GL_2(Q_p) and its coset normal forms.
 
-Scalars are exact rationals carrying the prime p, so every valuation,
-decomposition and identity below is checked with equality, never numerically.
+A matrix is held in its primitive integer form (p; L, A, B, C, D), meaning
+g = [[A, B], [C, D]] / L with L > 0 and gcd(L, A, B, C, D) = 1.  The form is
+canonical, so equality and hashing compare integer tuples, and products,
+inverses, valuations, subgroup membership and the decompositions below run
+on Python integers: every identity is checked with equality, never
+numerically.  `PadicRational` is the exact scalar of the entry views
+(`Mat2.a` .. `Mat2.d`), of tree-vertex offsets and of the drivers.
 Conventions fixed here and used everywhere:
 
   * uniformiser = p, residue field = F_p (q = p);
@@ -17,7 +22,7 @@ s_mat = [[0,1],[1,0]], t_mat = [[p,0],[0,1]].
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from .exactfield import is_prime
 
@@ -37,6 +42,26 @@ def vp_split(n: int, p: int):
     return v, n
 
 
+def _vp(n: int, p: int):
+    """v_p(n) of an integer, VAL_INF for zero."""
+    return vp_split(n, p)[0] if n else VAL_INF
+
+
+def _ratio(p: int, x):
+    """(numerator, denominator) of an int, Fraction or PadicRational of the
+    prime p; anything inexact is refused."""
+    if isinstance(x, PadicRational):
+        if x.p != p:
+            raise ValueError("prime mismatch")
+        x = x.frac
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"exact scalar expected (int, Fraction or PadicRational), "
+                    f"got {type(x).__name__}")
+
+
 class PadicRational:
     """Exact rational with its p-adic valuation.
 
@@ -50,12 +75,8 @@ class PadicRational:
     def __init__(self, p: int, value=0):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if isinstance(value, PadicRational):
-            if value.p != p:
-                raise ValueError("prime mismatch")
-            value = value.frac
         self.p = p
-        self.frac = value if isinstance(value, Fraction) else Fraction(value)
+        self.frac = value if isinstance(value, Fraction) else Fraction(*_ratio(p, value))
 
     # -- normalized fields ---------------------------------------------------
     @property
@@ -184,65 +205,79 @@ def unit_lift(p: int, lam: int) -> PadicRational:
 
 
 class Mat2:
-    """Invertible 2x2 matrix over PadicRational."""
+    """Invertible 2x2 matrix over Q_p with exact rational entries, held in
+    its primitive integer form: g = [[A, B], [C, D]] / L with L > 0 and
+    gcd(L, A, B, C, D) = 1.
 
-    __slots__ = ("p", "a", "b", "c", "d", "_hash")
+    Entries are given as int, Fraction or PadicRational; anything else is a
+    TypeError.  `a` .. `d` and `entries()` are PadicRational views built on
+    demand; arithmetic never goes through them."""
+
+    __slots__ = ("p", "L", "A", "B", "C", "D", "_hash")
 
     def __init__(self, p, a, b, c, d, check=True):
-        self._hash = None  # memoised: a Mat2 is never changed once built
-        self.p = p
-        self.a = PadicRational(p, a)
-        self.b = PadicRational(p, b)
-        self.c = PadicRational(p, c)
-        self.d = PadicRational(p, d)
-        if check and self.det().is_zero():
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        nd = [_ratio(p, x) for x in (a, b, c, d)]
+        L = lcm(*(m for _, m in nd))  # the least such L is primitive
+        self.p, self.L, self._hash = p, L, None
+        self.A, self.B, self.C, self.D = (n * (L // m) for n, m in nd)
+        if check and self.A * self.D == self.B * self.C:
             raise ValueError("singular matrix")
+
+    @classmethod
+    def from_ints(cls, p, L, A, B, C, D) -> "Mat2":
+        """[[A, B], [C, D]] / L for integers with L != 0, in primitive form;
+        p is taken as given (callers pass the prime of an existing Mat2)."""
+        if not L:
+            raise ZeroDivisionError("division by zero")
+        g = gcd(L, A, B, C, D) if L > 0 else -gcd(L, A, B, C, D)
+        out = object.__new__(cls)
+        out.p, out._hash = p, None
+        out.L, out.A, out.B, out.C, out.D = L // g, A // g, B // g, C // g, D // g
+        return out
 
     @classmethod
     def identity(cls, p):
         return cls(p, 1, 0, 0, 1)
 
-    def det(self) -> PadicRational:
-        return self.a * self.d - self.b * self.c
+    a = property(lambda self: PadicRational(self.p, Fraction(self.A, self.L)))
+    b = property(lambda self: PadicRational(self.p, Fraction(self.B, self.L)))
+    c = property(lambda self: PadicRational(self.p, Fraction(self.C, self.L)))
+    d = property(lambda self: PadicRational(self.p, Fraction(self.D, self.L)))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
+    def det(self) -> PadicRational:
+        return PadicRational(self.p, Fraction(self.A * self.D - self.B * self.C, self.L**2))
+
+    def det_valuation(self):
+        return _vp(self.A * self.D - self.B * self.C, self.p) - 2 * _vp(self.L, self.p)
+
     def integral_form(self):
         """(L, (A, B, C, D)): L the least common denominator of the entries
         and L g = [[A, B], [C, D]] over Z."""
-        fracs = [e.frac for e in self.entries()]
-        L = lcm(*(x.denominator for x in fracs))
-        return L, tuple(x.numerator * (L // x.denominator) for x in fracs)
+        return self.L, (self.A, self.B, self.C, self.D)
 
     def __mul__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
         if other.p != self.p:
             raise ValueError("prime mismatch")
-        return Mat2(
-            self.p,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            check=False,
-        )
+        A, B, C, D = self.A, self.B, self.C, self.D
+        E, F, G, H = other.A, other.B, other.C, other.D
+        return Mat2.from_ints(self.p, self.L * other.L, A * E + B * G, A * F + B * H,
+                              C * E + D * G, C * F + D * H)
 
     def scale(self, x) -> "Mat2":
-        x = PadicRational(self.p, x)
-        return Mat2(self.p, self.a * x, self.b * x, self.c * x, self.d * x, check=False)
+        n, m = _ratio(self.p, x)
+        return Mat2.from_ints(self.p, self.L * m, self.A * n, self.B * n, self.C * n,
+                              self.D * n)
 
     def inv(self) -> "Mat2":
-        det = self.det()
-        return Mat2(
-            self.p,
-            self.d / det,
-            -self.b / det,
-            -self.c / det,
-            self.a / det,
-            check=False,
-        )
+        L, A, B, C, D = self.L, self.A, self.B, self.C, self.D
+        return Mat2.from_ints(self.p, A * D - B * C, L * D, -L * B, -L * C, L * A)
 
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
@@ -257,18 +292,21 @@ class Mat2:
         return out
 
     def min_valuation(self):
-        return min(e.valuation for e in self.entries())
+        p = self.p
+        low = min(_vp(self.A, p), _vp(self.B, p), _vp(self.C, p), _vp(self.D, p))
+        return low - _vp(self.L, p)
+
+    def _key(self):
+        return (self.p, self.L, self.A, self.B, self.C, self.D)
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self.p == other.p and all(
-            x == y for x, y in zip(self.entries(), other.entries())
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.p, tuple(e.frac for e in self.entries())))
+        if self._hash is None:  # memoised: a Mat2 is never changed once built
+            self._hash = hash(self._key())
         return self._hash
 
     def __repr__(self):
@@ -314,38 +352,31 @@ SUBGROUP_TAGS = ("K", "K1", "I", "I1", "P", "T_diag", "U_upper", "Center")
 
 
 def in_subgroup(g: Mat2, tag: str) -> bool:
-    """Decide membership by entry valuations; tags follow the standard names:
-    K = GL2(Z_p), K1 its principal congruence subgroup, I / I1 the Iwahori and
-    pro-p Iwahori, P upper-triangular, plus torus/unipotent/center."""
-    a, b, c, d = g.entries()
-    va, vb, vc, vd = (e.valuation for e in g.entries())
-    one = PadicRational(g.p, 1)
+    """Decide membership on the primitive integer form; tags follow the
+    standard names: K = GL2(Z_p), K1 its principal congruence subgroup, I / I1
+    the Iwahori and pro-p Iwahori, P upper-triangular, plus
+    torus/unipotent/center.
+
+    g is integral iff p does not divide L (L is primitive), so K asks p to
+    divide neither L nor AD - BC, and K1, I and I1 are congruences mod p on
+    A - L, B, C and D - L."""
+    p, L, A, B, C, D = g.p, g.L, g.A, g.B, g.C, g.D
     if tag == "K":
-        return min(va, vb, vc, vd) >= 0 and g.det().valuation == 0
-    if tag == "K1":
-        return (
-            (a - one).valuation >= 1
-            and vb >= 1
-            and vc >= 1
-            and (d - one).valuation >= 1
-        )
+        return L % p != 0 and (A * D - B * C) % p != 0
+    if tag == "K1":  # these congruences force p not to divide L
+        return (A - L) % p == 0 and B % p == 0 and C % p == 0 and (D - L) % p == 0
     if tag == "I":
-        return va == 0 and vb >= 0 and vc >= 1 and vd == 0
+        return L % p != 0 and A % p != 0 and C % p == 0 and D % p != 0
     if tag == "I1":
-        return (
-            (a - one).valuation >= 1
-            and vb >= 0
-            and vc >= 1
-            and (d - one).valuation >= 1
-        )
+        return L % p != 0 and (A - L) % p == 0 and C % p == 0 and (D - L) % p == 0
     if tag == "P":
-        return c.is_zero() and not a.is_zero() and not d.is_zero()
+        return C == 0 and A != 0 and D != 0
     if tag == "T_diag":
-        return b.is_zero() and c.is_zero()
+        return B == 0 and C == 0
     if tag == "U_upper":
-        return c.is_zero() and a == one and d == one
+        return C == 0 and A == L and D == L
     if tag == "Center":
-        return b.is_zero() and c.is_zero() and a == d
+        return B == 0 and C == 0 and A == D
     raise ValueError(f"unknown subgroup tag {tag!r}")
 
 
@@ -353,15 +384,23 @@ def in_subgroup(g: Mat2, tag: str) -> bool:
 # decompositions
 # ---------------------------------------------------------------------------
 
+def _triangular_factor(g: Mat2, lower: bool) -> Mat2:
+    """b upper-triangular with g = b . lower-u(c/d) if lower, else
+    g = b . s . u(d/c); lower-u(c/d) is [[D, 0], [C, D]] / D and s . u(d/c)
+    is [[0, C], [C, D]] / C."""
+    p, L, A, B, C, D = g.p, g.L, g.A, g.B, g.C, g.D
+    if lower:
+        return Mat2.from_ints(p, L * D, A * D - B * C, B * D, 0, D * D)
+    return Mat2.from_ints(p, L * C, B * C - A * D, A * C, 0, C * C)
+
+
 def iwasawa(g: Mat2):
-    """g = b . kk with b upper-triangular and kk in K (integral, unit det)."""
-    c, d = g.c, g.d
-    if c.valuation >= d.valuation:
-        kk = lower_u(g.p, c / d)
-    else:
-        kk = s_mat(g.p) * upper_u(g.p, d / c)
-    b = g * kk.inv()
-    return b, kk
+    """g = b . kk with b upper-triangular and kk in K (integral, unit det):
+    kk = lower-u(c/d) if v(c) >= v(d), else s . u(d/c)."""
+    p, C, D = g.p, g.C, g.D
+    if _vp(C, p) >= _vp(D, p):
+        return _triangular_factor(g, True), Mat2.from_ints(p, D, D, 0, C, D)
+    return _triangular_factor(g, False), Mat2.from_ints(p, C, 0, C, C, D)
 
 
 def bruhat_side(g: Mat2):
@@ -369,16 +408,12 @@ def bruhat_side(g: Mat2):
 
     Returns (side, b, u) where side is "PI1" or "PsI1", b in P, u in I1 and
     g = b*u or g = b*s*u respectively.  The side is read off the bottom row:
-    PI1 iff v(c) > v(d).
+    PI1 iff v(c) > v(d), with u = lower-u(c/d); otherwise u = u(d/c).
     """
-    c, d = g.c, g.d
-    if c.valuation > d.valuation:
-        u = lower_u(g.p, c / d)
-        b = g * u.inv()
-        return "PI1", b, u
-    u = upper_u(g.p, d / c)
-    b = g * (s_mat(g.p) * u).inv()
-    return "PsI1", b, u
+    p, C, D = g.p, g.C, g.D
+    if _vp(C, p) > _vp(D, p):
+        return "PI1", _triangular_factor(g, True), Mat2.from_ints(p, D, D, 0, C, D)
+    return "PsI1", _triangular_factor(g, False), Mat2.from_ints(p, C, C, D, 0, C)
 
 
 class TreeVertex:
@@ -409,7 +444,11 @@ class TreeVertex:
         return out
 
     def rep(self) -> Mat2:
-        return Mat2(self.p, Fraction(self.p) ** self.d, self.a, 0, 1, check=False)
+        """[[p^d, a], [0, 1]] = [[p^d m, n q], [0, m q]] / (m q) for a = n / m
+        and q = p^max(-d, 0)."""
+        p, d, a = self.p, self.d, self.a.frac
+        m, q = a.denominator, p ** max(-d, 0)
+        return Mat2.from_ints(p, m * q, p ** max(d, 0) * m, a.numerator * q, 0, m * q)
 
     def distance(self) -> int:
         """Tree distance to the base vertex (identity coset)."""
@@ -420,7 +459,9 @@ class TreeVertex:
     def __eq__(self, other):
         if not isinstance(other, TreeVertex):
             return NotImplemented
-        return (self.p, self.d, self.a) == (other.p, other.d, other.a)
+        x, y = self.a.frac, other.a.frac
+        return (self.p, self.d, x.numerator, x.denominator) == (
+            other.p, other.d, y.numerator, y.denominator)
 
     def __hash__(self):
         if self._hash is None:
@@ -437,35 +478,44 @@ class TreeVertex:
         return {"d": self.d, "a": self.a.serialize()}
 
 
+def _canonical_frac(p: int, n: int, m: int, d: int) -> Fraction:
+    """Canonical representative of n/m mod p^d Z_p, for integers n and m != 0:
+    0, or c p^w with w = v(n/m) < d and c the unit part of n/m mod p^(d-w)."""
+    if n == 0:
+        return Fraction(0)
+    vn, un = vp_split(n, p)
+    vm, um = vp_split(m, p)
+    w = vn - vm
+    if w >= d:
+        return Fraction(0)
+    span = p ** (d - w)
+    c = un % span * pow(um, -1, span) % span
+    return Fraction(c * p**w) if w >= 0 else Fraction(c, p**-w)
+
+
 def canonical_mod(a: PadicRational, d: int) -> PadicRational:
     """Canonical representative of a mod p^d Z_p (idempotent)."""
-    p = a.p
-    if a.is_zero() or a.valuation >= d:
-        return PadicRational(p, 0)
-    w = a.valuation
-    u = a.frac / Fraction(p) ** w
-    span = p ** (d - w)
-    c = u.numerator % span * pow(u.denominator, -1, span) % span
-    return PadicRational(p, Fraction(c) * Fraction(p) ** w)
+    return PadicRational(a.p, _canonical_frac(a.p, a.frac.numerator, a.frac.denominator, d))
 
 
 def vertex_normalize(g: Mat2):
     """Write g = rep(v) . kz with kz in F^x K; v is the unique tree vertex.
 
     Idempotent on canonical representatives: rep(v) normalizes to (v, id).
+    With b the upper-triangular factor of `iwasawa`, v = (v(b_a / b_d),
+    b_b / b_d): that is (v(det) - 2 v(D), B / D) if v(C) >= v(D), else
+    (v(det) - 2 v(C), A / C), on the integer form [[A, B], [C, D]] / L.
     """
-    b, kk = iwasawa(g)
-    y = b.a / b.d
-    z = b.b / b.d
-    dd = y.valuation
-    v = TreeVertex(g.p, dd, z)
-    kz = v.rep().inv() * g
-    return v, kz
+    p, A, B, C, D = g.p, g.A, g.B, g.C, g.D
+    num, den = (B, D) if _vp(C, p) >= _vp(D, p) else (A, C)
+    d = _vp(A * D - B * C, p) - 2 * _vp(den, p)
+    v = TreeVertex.canonical(p, d, _canonical_frac(p, num, den, d))
+    return v, v.rep().inv() * g
 
 
 def fxk_factor(h: Mat2):
     """Split h in F^x K as p^j * k with k in K; raises if h is not in F^x K."""
-    vdet = h.det().valuation
+    vdet = h.det_valuation()
     if vdet % 2:
         raise ValueError("not in F^x K: odd determinant valuation")
     j = vdet // 2
@@ -477,9 +527,10 @@ def fxk_factor(h: Mat2):
 
 def tree_distance(g: Mat2) -> int:
     """|alpha - beta| for the elementary divisors p^alpha, p^beta of g after
-    central scaling to integral entries with minimal valuation 0."""
-    m = g.min_valuation()
-    return int(g.det().valuation) - 2 * int(m)
+    central scaling to integral entries with minimal valuation 0; L cancels,
+    so it is v(AD - BC) - 2 min v(A, B, C, D)."""
+    p, A, B, C, D = g.p, g.A, g.B, g.C, g.D
+    return _vp(A * D - B * C, p) - 2 * min(_vp(A, p), _vp(B, p), _vp(C, p), _vp(D, p))
 
 
 # ---------------------------------------------------------------------------

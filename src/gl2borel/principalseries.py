@@ -11,19 +11,18 @@ An action is a compiled monomial table: for each point x of the raised level,
 x g = b . rep(x') with b upper-triangular and x' a point of the source level,
 so (g . f)(x) = chi(b) f(x').  The table stores the index of x' and the code of
 chi(b); it depends only on (g, chi, level) and is kept in a bounded cache, so
-applying g is one gather and one field multiplication.  The compiler clears
-the denominators of g once and factors every point on the bottom row of
-rep(x) g in exact Python integers: x' comes from a quotient of two integers,
-and chi(b) only from the sign, valuation and unit residue of one of them.
-`_coset_factor` is the same factorisation on `Mat2` of exact rationals, and
-`evaluate` applies it to a single group element: they are the reference the
-tables are tested against.  Refinement to a finer level is a gather through a
-cached index of point reductions.
+applying g is one gather and one field multiplication.  The compiler reads
+the primitive integer form L g of g and factors every point on the bottom row
+of rep(x) g in exact Python integers: x' comes from a quotient of two
+integers, and chi(b) only from the sign, valuation and unit residue of one of
+them.  `_coset_factor` is the same factorisation of one product rep(x) g
+through `padicmat.iwasawa`, and `evaluate` applies it to a single group
+element: they are the reference the tables are tested against.  Refinement
+to a finer level is a gather through a cached index of point reductions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +30,8 @@ import numpy as np
 from . import exactfield as xf
 from .exactfield import FieldElem
 from .fqweights import TorusCharacter
-from .padicmat import Mat2, PadicRational, lower_u, s_mat, t_mat, upper_u, vp_split
+from .padicmat import (Mat2, PadicRational, iwasawa, lower_u, s_mat, t_mat, tree_distance,
+                       upper_u, vp_split)
 from .compactind import i1_generators
 
 DEFAULT_N_MAX = 4
@@ -58,9 +58,9 @@ def point_rep(p: int, point) -> Mat2:
 
 
 def level_shift(g: Mat2) -> int:
-    """How many levels a right translation by g can cost (= tree_distance of
-    the central rescaling; symmetric in g and its inverse)."""
-    return int(g.det().valuation) - 2 * int(g.min_valuation())
+    """How many levels a right translation by g can cost: the tree distance
+    of g, symmetric in g and its inverse."""
+    return tree_distance(g)
 
 
 class PSFunction:
@@ -169,15 +169,15 @@ def _refine_index(p: int, level: int, to_level: int) -> np.ndarray:
 
 def _coset_factor(p: int, g: Mat2, level: int):
     """g = b . rep with b upper-triangular and rep the exact representative of
-    the level-`level` point of g's coset; returns (b, point)."""
-    c, d = g.c, g.d
-    if d.valuation <= c.valuation:
-        x = c / d
-        return g * lower_u(p, -x), ("a", x.residue(level))
-    w = d / c
-    b = g * (s_mat(p) * upper_u(p, w)).inv()
-    y = w / p
-    return b, ("i", y.residue(level - 1) if level > 1 else 0)
+    the level-`level` point of g's coset; returns (b, point).  rep is the K
+    factor of `iwasawa`: lower-u(x) = [[L, 0], [C, L]] / L with x = C / L
+    integral, or s u(p y) = [[0, L], [L, D]] / L with p y = D / L."""
+    b, k = iwasawa(g)
+    if k.A:
+        q = p**level
+        return b, ("a", k.C * pow(k.L, -1, q) % q)
+    q = p ** (level - 1)
+    return b, ("i", k.D // p * pow(k.L, -1, q) % q)
 
 
 def evaluate(f: PSFunction, g: Mat2) -> FieldElem:
@@ -211,7 +211,8 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     of D' (or C'), so it is computed once per such key."""
     p = chi.p
     L, (A, B, C, D) = g.integral_form()
-    det_L = g.det().frac * L
+    vl, ul = vp_split(L, p)
+    vdet, udet = vp_split(A * D - B * C, p)
     new_level = level + level_shift(g)
     rows = [(x * A + C, x * B + D, 1) for x in range(p**new_level)]
     rows += [(A + p * y * C, B + p * y * D, -1) for y in range(p ** (new_level - 1))]
@@ -229,9 +230,10 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
             src[i] = q + d // p ** (e + 1) * pow(u, -1, q_inf) % q_inf
         key = (sign, e, u % p)
         if key not in chi_b:
-            m = p**e * (u % p)  # the valuation and unit residue of L b.d
-            chi_b[key] = chi.value_diag(PadicRational(p, det_L * sign / m),
-                                        PadicRational(p, Fraction(m, L))).code
+            # b.a = sign det(L g) / (L D') and b.d = D' / L, D' = p^e u
+            r = u % p
+            chi_b[key] = chi.value_parts(vdet - vl - e, sign * udet * pow(ul * r, -1, p) % p,
+                                         e - vl, r * pow(ul, -1, p) % p).code
         coef[i] = chi_b[key]
     # shared by every caller with an equal key
     src.flags.writeable = False

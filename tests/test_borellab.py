@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -214,6 +216,24 @@ def test_prop_give_certified(model_kind):
         assert i1_fixed_check(model, v)
         assert rep["certificate"]["valid"]
         assert rep["certificate"]["translates"]
+
+
+# SHA-256 of the JSON certificate (sorted keys) of prop_give on a random
+# vector drawn with random.Random(34), with its number of translates
+CERTIFICATE_DIGESTS = {
+    "cind": (168, "722e8e89ef51bf8a8e947ec11a3f2388d750aefc1c88c38213d6de83a35254f7"),
+    "ps": (324, "0075d11ec2d06aebe296d94431b1bc13e6ce25e5c276aa876addbe3c12f051a1"),
+}
+
+
+@pytest.mark.parametrize("model_kind", ["cind", "ps"])
+def test_prop_give_certificate_bytes_pinned(model_kind):
+    """The translates keep their matrices and their order, however the
+    products u(lam) t d word t^k are grouped."""
+    model = cind_T_model(3) if model_kind == "cind" else PSModel(TorusCharacter.trivial(Field(3)))
+    cert = prop_give(model, model.random_vector(random.Random(34)))["certificate"]
+    digest = hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+    assert (len(cert["translates"]), digest) == CERTIFICATE_DIGESTS[model_kind]
 
 
 def test_prop_give_fixed_point_path():

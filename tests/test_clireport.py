@@ -248,6 +248,10 @@ REPORT_DIGESTS = {
         (0, "5bdea606e3f0175d3493afd94a6f7e1569bc5f1b3b34114cc75d0ba26caeb8b6"),
     ("recursion", "--p", "3", "--ideal", "T^2"):
         (0, "914456759caf006382e38dcf6f6e56165e2b6abb5c6d269a2acea30bd8155a08"),
+    ("identities", "--p", "5", "--trials", "50"):
+        (0, "12d2cc5b42c94c94bf1f15cca44f159f418618c597e44d761b61b22c5dc4031a"),
+    ("identities", "--p", "13", "--trials", "50"):
+        (0, "c0f32ec80cc14e1d53106b492700629723e49f2779ccb67bc400105a791adb2b"),
 }
 
 

@@ -207,3 +207,22 @@ def test_serialization():
     assert g.serialize() == ["1", "1/5", "0", "2/3"]
     v = TreeVertex(p, 1, 2)
     assert v.serialize() == {"d": 1, "a": "2"}
+
+
+@pytest.mark.parametrize("inexact", [0.5, 1.0, "1/2", complex(1, 0), None])
+def test_inexact_entries_rejected(inexact):
+    with pytest.raises(TypeError, match="exact scalar"):
+        PadicRational(3, inexact)
+    with pytest.raises(TypeError, match="exact scalar"):
+        Mat2(3, inexact, 0, 0, 1)
+    with pytest.raises(TypeError, match="exact scalar"):
+        Mat2.identity(3).scale(inexact)
+    with pytest.raises(TypeError, match="exact scalar"):
+        upper_u(3, inexact)
+
+
+def test_exact_entries_accepted():
+    g = Mat2(3, True, Fraction(1, 3), PadicRational(3, -2), 1)
+    assert g.serialize() == ["1", "1/3", "-2", "1"]
+    with pytest.raises(ValueError, match="prime mismatch"):
+        Mat2(3, PadicRational(5, 1), 0, 0, 1)
