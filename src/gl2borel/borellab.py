@@ -724,41 +724,47 @@ def g_sample_words(p: int):
     return [s, t, u1, lp, pi, s * u1, t * s, u1 * t * s, pi * u1]
 
 
+class _Checks(list):
+    """The named pass/fail checks of one hom-transfer case, in report form."""
+
+    def add(self, name, ok, detail=""):
+        self.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
+
+    def status(self) -> str:
+        return "pass" if all(c["status"] == "pass" for c in self) else "fail"
+
+
 def hom_case_supersingular(p: int = 3, weight_rm=(1, 0)):
     """Run the restriction-transfer pipeline for the identity P-map of a
     supersingular model and confirm G-equivariance on generators."""
     w = Weight(p, *weight_rm)
     model = CindModel(w, ci.HeckeIdeal.parse(w.field, "T"))
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
-
+    checks = _Checks()
     phi_map = lambda x: x  # the identity of the model, viewed as a P-map
     v = model.generator()
-    check("v is I1-fixed", i1_fixed_check(model, v))
+    checks.add("v is I1-fixed", i1_fixed_check(model, v))
     mod, _ = k_span_module(model, v)
-    check("K-span of v irreducible", is_irreducible(mod).status == "irreducible",
-          f"dim {mod.dim}")
+    checks.add("K-span of v irreducible", is_irreducible(mod).status == "irreducible",
+               f"dim {mod.dim}")
     rec = recursion(model, v, bound=6)
-    check("recursion terminates", rec["terminated"], f"n = {rec['n']}")
+    checks.add("recursion terminates", rec["terminated"], f"n = {rec['n']}")
     vp = rec["sequence"][rec["n"] - 1]
-    check("hypothesis sum vanishes for v'", model.is_zero(model.hecke_sum(vp)))
-    check("hypothesis sum vanishes for phi(v')",
-          model.is_zero(model.hecke_sum(phi_map(vp))))
+    checks.add("hypothesis sum vanishes for v'", model.is_zero(model.hecke_sum(vp)))
+    checks.add("hypothesis sum vanishes for phi(v')",
+               model.is_zero(model.hecke_sum(phi_map(vp))))
     ls = lemma_s_check(model, vp)
-    check("lemma-s equality for v'", ls["status"] == "pass")
+    checks.add("lemma-s equality for v'", ls["status"] == "pass")
     svp = model.act(s_mat(p), vp)
-    check("phi(s v') = s phi(v')", model.equal(phi_map(svp), model.act(s_mat(p), phi_map(vp))))
+    checks.add("phi(s v') = s phi(v')",
+               model.equal(phi_map(svp), model.act(s_mat(p), phi_map(vp))))
     eq = all(
         model.equal(phi_map(model.act(g, x)), model.act(g, phi_map(x)))
         for g in g_sample_words(p)
         for x in (v, vp)
     )
-    check("G-equivariance on generator samples", eq)
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
+    checks.add("G-equivariance on generator samples", eq)
     return {"case": "supersingular", "model": model.describe(),
-            "checks": checks, "status": status}
+            "checks": checks, "status": checks.status()}
 
 
 def hom_case_sp_to_ind(p: int = 3):
@@ -766,35 +772,30 @@ def hom_case_sp_to_ind(p: int = 3):
     G-endomorphism of the full series; agreement checked on orbit samples."""
     field_chi = TorusCharacter.trivial(Weight(p, 0, 0).field)
     model = PSModel(field_chi)
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
-
+    checks = _Checks()
     phi2 = model.phi2()
-    check("phi2 lies in the evaluation kernel", ps.eval_at_identity(phi2).is_zero())
+    checks.add("phi2 lies in the evaluation kernel", ps.eval_at_identity(phi2).is_zero())
     lam = ps.eigen_relation(model.chi, model.n_max)
-    check("eigen-relation scalar nonzero", not lam.is_zero(), f"lambda = {lam}")
-    check("relation: unipotent sum = lambda phi2",
-          model.equal(model.hecke_sum(phi2), model.scale(lam, phi2)))
-    check("psi(phi2) is I1-fixed", i1_fixed_check(model, phi2))
+    checks.add("eigen-relation scalar nonzero", not lam.is_zero(), f"lambda = {lam}")
+    checks.add("relation: unipotent sum = lambda phi2",
+               model.equal(model.hecke_sum(phi2), model.scale(lam, phi2)))
+    checks.add("psi(phi2) is I1-fixed", i1_fixed_check(model, phi2))
     mod, _ = k_span_module(model, phi2)
     verdict = is_irreducible(mod)
-    check("K-span of psi(phi2) irreducible, not a character",
-          verdict.status == "irreducible" and mod.dim > 1, f"dim {mod.dim}")
+    checks.add("K-span of psi(phi2) irreducible, not a character",
+               verdict.status == "irreducible" and mod.dim > 1, f"dim {mod.dim}")
     # the G-extension of the inclusion is the scalar c with psi(phi2) = c phi2
     c = proportionality(model, phi2, phi2)
-    check("extension scalar determined", c is not None, f"c = {c}")
+    checks.add("extension scalar determined", c is not None, f"c = {c}")
     ext = lambda x: model.scale(c, x)
     samples = [model.act(g, phi2) for g in g_sample_words(p)]
-    check("extension agrees with the P-map on kappa samples",
-          all(model.equal(ext(x), x) for x in samples if ps.eval_at_identity(x).is_zero()))
-    check("extension is G-equivariant on orbit samples",
-          all(model.equal(ext(model.act(g, phi2)), model.act(g, ext(phi2)))
-              for g in g_sample_words(p)))
-    status = "pass" if all(cc["status"] == "pass" for cc in checks) else "fail"
+    checks.add("extension agrees with the P-map on kappa samples",
+               all(model.equal(ext(x), x) for x in samples if ps.eval_at_identity(x).is_zero()))
+    checks.add("extension is G-equivariant on orbit samples",
+               all(model.equal(ext(model.act(g, phi2)), model.act(g, ext(phi2)))
+                   for g in g_sample_words(p)))
     return {"case": "sp_to_ind", "model": model.describe(), "checks": checks,
-            "status": status, "extension_scalar": repr(c)}
+            "status": checks.status(), "extension_scalar": repr(c)}
 
 
 def _ps_p_gen_shifts(p):
@@ -831,145 +832,71 @@ def hom_case_char_rigidity(p: int = 2, level: int = 2):
     """The only P-eigenvectors of the trivial character inside the trivial
     principal series are the constants, which are genuinely G-fixed."""
     chi = TorusCharacter.trivial(Weight(p, 0, 0).field)
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
-
+    checks = _Checks()
     sols = p_eigenvector_space(chi, lambda g: chi.field.one(), level)
-    check("eigenvector space is one line", len(sols) == 1, f"dim {len(sols)}")
+    checks.add("eigenvector space is one line", len(sols) == 1, f"dim {len(sols)}")
     if sols:
         f = sols[0]
         spl = ps.DetSplitting(chi)
         const = spl.det_function(level)
         cc = proportionality(PSModel(chi), const, f)
-        check("the line is the constants", cc is not None)
+        checks.add("the line is the constants", cc is not None)
         model = PSModel(chi)
-        check("solution fixed by the opposite unipotent (t-descent conclusion)",
-              model.equal(model.act(lower_u(p, 1), f), f))
-        check("solution fixed by s", model.equal(model.act(s_mat(p), f), f))
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
+        checks.add("solution fixed by the opposite unipotent (t-descent conclusion)",
+                   model.equal(model.act(lower_u(p, 1), f), f))
+        checks.add("solution fixed by s", model.equal(model.act(s_mat(p), f), f))
     return {"case": "char_rigidity", "model": f"Ind_P^G(1), p={p}", "checks": checks,
-            "status": status}
+            "status": checks.status()}
 
 
 def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
     """Level-2 P-intertwiners of Ind(chi) that extend compatibly to level 3
-    (through refinement and both t-translations) form exactly the scalars."""
+    (through refinement and both t-translations) form exactly the scalars.
+
+    The level-preserving generators act monomially, so both commutants come
+    from monomial_commutant: the level-2 basis M2_k and the level-3 basis C_j.
+    M2 = sum c_k M2_k extends when some M3 commuting with the level-3 actions
+    satisfies M3 S = sum c_k R_k, with S = [Ref | At | Ati] and R_k =
+    [Ref M2_k | At M2_k | Ati M2_k].  Every such M3 is sum d_j C_j, so the
+    extendable c are the c-parts of the kernel of sum d_j C_j S - sum c_k R_k:
+    dim3 x 3 dim2 equations in s_dim + dim C unknowns.  proj_dim is the rank
+    of the c-parts, the dimension of the space of extendable M2."""
     if chi.is_symmetric():
         raise ValueError("case requires chi different from its conjugate")
     p = chi.p
     field = chi.field
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
-
+    checks = _Checks()
     lvl2_gens = [upper_u(p, 1)] + [diag(p, u, 1) for u in range(2, p)] + [
         diag(p, 1, u) for u in range(2, p)]
-    A2 = {i: ps.action_matrix(chi, g, 2, n_max) for i, g in enumerate(lvl2_gens)}
-    A3 = {i: ps.action_matrix(chi, g, 3, n_max) for i, g in enumerate(lvl2_gens)}
     Ref = ps.refine_matrix(chi, 2, 3, n_max)
-    At = ps.action_matrix(chi, t_mat(p), 2, n_max)
-    Ati = ps.action_matrix(chi, t_mat(p).inv(), 2, n_max)
+    S = np.concatenate([Ref, ps.action_matrix(chi, t_mat(p), 2, n_max),
+                        ps.action_matrix(chi, t_mat(p).inv(), 2, n_max)], axis=1)
+    dim3, dim2 = Ref.shape
 
-    dim2 = Ref.shape[1]
-    dim3 = Ref.shape[0]
-
-    # level-2 commutant of the level-preserving generators
-    pairs = [(A2[i], A2[i]) for i in A2]
-    M2_basis = xf.matrix_relation_kernel(field, pairs, dim2, dim2)
+    M2_basis = xf.monomial_commutant(
+        field, [ps.action_table(chi, g, 2, n_max) for g in lvl2_gens], dim2)
     s_dim = len(M2_basis)
-    check("level-2 commutant computed", True, f"dim {s_dim}")
+    checks.add("level-2 commutant computed", True, f"dim {s_dim}")
 
-    # M3 is pinned on the joint image of the structure maps by
-    # M3 . [Ref | At | Ati] = [Ref M2 | At M2 | Ati M2] =: R(c); it exists
-    # there iff R(c) kills ker S, and is otherwise free on a complement.
-    S = np.concatenate([Ref, At, Ati], axis=1)
-    RS, leads = xf.rref(field, np.asarray(S).T)
-    im_rows = RS[: len(leads)]
-    comp_idx = [j for j in range(dim3) if j not in set(leads)]
-    solver_S = xf.CachedSolver(field, S)
-    Y = []
-    for row in im_rows:
-        y, cert = solver_S.solve(row)
-        if cert is not None:
-            raise RuntimeError("image basis escaped the structure maps")
-        Y.append(y)
-    kerS = solver_S.kernel()
-
-    R_of = [
-        np.concatenate([
-            xf.mat_mul_codes(field, Ref, M2),
-            xf.mat_mul_codes(field, At, M2),
-            xf.mat_mul_codes(field, Ati, M2),
-        ], axis=1)
-        for M2 in M2_basis
-    ]
-    # consistency: R(c) z = 0 for every kernel vector z of S
-    consistency = []
-    for z in kerS:
-        block = np.array([xf.mat_vec_codes(field, Rk, z) for Rk in R_of],
-                         dtype=np.int64).T  # dim3 x s
-        consistency.append(block)
-    cons_rows = (np.concatenate(consistency) if consistency
-                 else np.zeros((0, s_dim), dtype=np.int64))
-
-    # change of basis: columns = image basis then complement unit vectors
-    eye3 = np.eye(dim3, dtype=np.int64)
-    Bcols = np.concatenate([im_rows.T, eye3[:, comp_idx]], axis=1)
-    Binv = xf.invert_matrix_codes(field, Bcols)
-
-    # M3(c, N) = (sum_k c_k Wk + N-part) . Binv with Wk carrying R_k Y on the
-    # image columns and N free on the complement columns
-    Wk = []
-    for Rk in R_of:
-        W = np.zeros((dim3, dim3), dtype=np.int64)
-        for i, y in enumerate(Y):
-            W[:, i] = xf.mat_vec_codes(field, Rk, y)
-        Wk.append(xf.mat_mul_codes(field, W, Binv))
-
-    n_comp = len(comp_idx)
-    unknowns = s_dim + dim3 * n_comp
-    rows = [np.concatenate([cons_rows,
-                            np.zeros((cons_rows.shape[0], dim3 * n_comp), dtype=np.int64)],
-                           axis=1)] if cons_rows.size else []
-    for gi in A3:
-        A = A3[gi]
-        block = np.zeros((dim3 * dim3, unknowns), dtype=np.int64)
-        for k in range(s_dim):
-            com = xf.sub(field, xf.mat_mul_codes(field, Wk[k], A),
-                         xf.mat_mul_codes(field, A, Wk[k]))
-            block[:, k] = com.ravel()
-        for j in range(n_comp):
-            r = Binv[len(leads) + j]
-            rA = xf.mat_vec_codes(field, np.asarray(A).T, r)  # r . A
-            for a in range(dim3):
-                com = np.zeros((dim3, dim3), dtype=np.int64)
-                com[a, :] = rA
-                com = xf.sub(field, com, xf.mul(field, A[:, a, None], r[None, :]))
-                block[:, s_dim + a * n_comp + j] = com.ravel()
-        rows.append(block)
-    system = np.concatenate(rows) if rows else np.zeros((0, unknowns), dtype=np.int64)
-    kern = xf.kernel_codes(field, system)
-    cvecs = kern[:, :s_dim] if kern.size else np.zeros((0, s_dim), dtype=np.int64)
+    C_basis = xf.monomial_commutant(
+        field, [ps.action_table(chi, g, 3, n_max) for g in lvl2_gens], dim3)
+    eye3 = np.eye(3, dtype=np.int64)
+    cols = [xf.sub(field, 0, xf.mat_mul_codes(field, S, np.kron(eye3, M2))).ravel()
+            for M2 in M2_basis]
+    cols += [xf.mat_mul_codes(field, C, S).ravel() for C in C_basis]
+    kern = xf.kernel_codes(field, np.stack(cols, axis=1))
+    cvecs = kern[:, :s_dim]
     proj_dim = xf.rank_codes(field, cvecs) if cvecs.size else 0
-    check("constructed-map space is one line", proj_dim == 1, f"dim {proj_dim}")
+    checks.add("constructed-map space is one line", proj_dim == 1, f"dim {proj_dim}")
     scalar_ok = False
     if proj_dim >= 1:
         lead = next(row for row in cvecs if np.any(row))
-        M = np.zeros((dim2, dim2), dtype=np.int64)
-        for c, M2 in zip(lead, M2_basis):
-            if c:
-                M = xf.add(field, M, xf.mul(field, M2, c))
-        diag_code = int(M[0, 0])
-        scalar_ok = diag_code != 0 and np.array_equal(
-            M, xf.mul(field, np.eye(dim2, dtype=np.int64), diag_code))
-    check("the line is the identity scalar", scalar_ok)
-    status = "pass" if all(c["status"] == "pass" for c in checks) else (
-        "inconclusive" if any(c["status"] == "inconclusive" for c in checks) else "fail")
+        M = xf.mat_mul_codes(field, lead[None, :], np.reshape(M2_basis, (s_dim, -1)))
+        scalar_ok = M[0, 0] != 0 and np.array_equal(
+            M.reshape(dim2, dim2), xf.mul(field, np.eye(dim2, dtype=np.int64), M[0, 0]))
+    checks.add("the line is the identity scalar", scalar_ok)
     return {"case": "princ_endo", "model": f"Ind_P^G{chi!r}", "checks": checks,
-            "status": status}
+            "status": checks.status()}
 
 
 def hom_transfer_suite(case: str, p: int = 3, chi: TorusCharacter | None = None):

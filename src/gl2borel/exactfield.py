@@ -661,6 +661,67 @@ def matrix_relation_kernel(field: Field, pairs, dim_in: int, dim_out: int):
     return [k.reshape(dim_out, dim_in) for k in kern]
 
 
+@lru_cache(maxsize=None)
+def _exp_log(p: int, modulus):
+    """exp[e] = g^e (e < q - 1) for a primitive element g of F_q^*, and log
+    with log[exp[e]] = e, for F_q = F_p[x]/(modulus)."""
+    field = Field(p, len(modulus) - 1, modulus)
+    for g in range(1, field.size):
+        exp = [1]
+        while (x := field.mul_codes(exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == field.size - 1:
+            log = np.zeros(field.size, dtype=np.int64)
+            log[exp] = np.arange(len(exp))
+            return np.array(exp, dtype=np.int64), log
+
+
+def monomial_commutant(field: Field, tables, n: int):
+    """Basis of {M (n x n) : A M = M A for every A}, each A monomial and given
+    by its table (src, coef): (A f)[i] = coef[i] f[src[i]].  Raises
+    ValueError unless src is a permutation of range(n) and coef is nonzero.
+
+    A M = M A reads M[src i, src l] = coef[l] coef[i]^-1 M[i, l], so M is
+    fixed on each orbit of index pairs by its value at the orbit's first pair
+    in row-major order.  An orbit whose labels disagree around a cycle is
+    forced to zero; each other orbit gives one basis matrix, 1 at its first
+    pair, in the order of those pairs.  This is the orbital basis of a
+    centraliser algebra (D. G. Higman, "Coherent configurations I", Geom.
+    Dedicata 4, 1975).  Labels are discrete logarithms mod q - 1, so the
+    search multiplies no field codes."""
+    order = field.size - 1
+    exp, log = _exp_log(field.p, field.modulus)
+    moves = []  # per map: where pair i n + l goes, and the log of its label
+    for src, coef in tables:
+        src, coef = np.asarray(src, dtype=np.int64), np.asarray(coef, dtype=np.int64)
+        if src.shape != (n,) or np.any(np.sort(src) != np.arange(n)):
+            raise ValueError("src must be a permutation of range(n)")
+        if coef.shape != (n,) or np.any((coef <= 0) | (coef > order)):
+            raise ValueError("coef must hold n nonzero codes")
+        lg = log[coef]
+        moves.append(((src[:, None] * n + src).ravel().tolist(),
+                      ((lg - lg[:, None]) % order).ravel().tolist()))
+    phase = [None] * (n * n)
+    basis = []
+    for start in range(n * n):
+        if phase[start] is not None:
+            continue
+        phase[start], members, consistent = 0, [start], True
+        for x in members:  # a breadth-first search: members grows as it is read
+            for dst, label in moves:
+                y, e = dst[x], (phase[x] + label[x]) % order
+                if phase[y] is None:
+                    phase[y] = e
+                    members.append(y)
+                elif phase[y] != e:
+                    consistent = False
+        if consistent:
+            M = np.zeros(n * n, dtype=np.int64)
+            M[members] = exp[[phase[x] for x in members]]
+            basis.append(M.reshape(n, n))
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # FieldElem-level wrapper: the public solve
 # ---------------------------------------------------------------------------

@@ -279,11 +279,19 @@ def basis_functions(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX):
         yield PSFunction(chi, N, table, n_max)
 
 
+def action_table(chi: TorusCharacter, g: Mat2, N: int, n_max: int = DEFAULT_N_MAX):
+    """ps_act(g, .) from level N as its monomial table (src, coef): the table
+    of g . f at level N + level_shift(g) is coef * f.table[src].  Raises
+    LevelOverflowError when that level exceeds n_max.  The arrays are
+    read-only and shared with every caller of an equal (g, chi, N)."""
+    _raised_level(g, N, n_max)
+    return _action_table(g, chi, N)
+
+
 def action_matrix(chi: TorusCharacter, g: Mat2, N: int, n_max: int = DEFAULT_N_MAX):
     """Matrix of ps_act(g, .) from level N to level N + shift, on code tables:
     the monomial matrix with coef[i] at (i, src[i])."""
-    _raised_level(g, N, n_max)
-    src, coef = _action_table(g, chi, N)
+    src, coef = action_table(chi, g, N, n_max)
     out = np.zeros((len(src), chi.p**N + chi.p ** (N - 1)), dtype=np.int64)
     out[np.arange(len(src)), src] = coef
     return out

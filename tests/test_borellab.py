@@ -301,6 +301,12 @@ def test_hom_cases_pass():
     assert hom_case_princ_endo(default_asymmetric_character(2))["status"] == "pass"
 
 
+def test_princ_endo_at_p5():
+    rep = hom_case_princ_endo(default_asymmetric_character(5))
+    assert rep["status"] == "pass"
+    assert [c["detail"] for c in rep["checks"]] == ["dim 12", "dim 1", ""]
+
+
 def test_hom_suite_dispatch():
     assert hom_transfer_suite("char_rigidity", 3)["case"] == "char_rigidity"
     with pytest.raises(ValueError):

@@ -230,7 +230,10 @@ def test_cli_in_subprocess():
 # reports were recorded before tree vertices were translated in integer
 # arithmetic; they are the only pins that move vertices at p=5.  The p=3
 # `recursion --ideal T^2` pin, the one degree-2 ideal at p=3, was recorded
-# before the Hecke operator was built from per-vertex block columns.
+# before the Hecke operator was built from per-vertex block columns.  The
+# `hom-transfer --p 3` pin was recorded before `princ_endo` was solved on
+# orbit commutants; `hom-transfer --p 5` first finished with that change, so
+# its pin comes from it.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -238,6 +241,10 @@ REPORT_DIGESTS = {
         (0, "a20172d112e5e8e2dbe66d2c5532780d5d47a7a76bf0928972d10fed554173fb"),
     ("hom-transfer", "--p", "2"):
         (0, "a9c1287420008f3841cd9f92600404c8ca3e1ce7c722a89b79b787d47fd6bfbf"),
+    ("hom-transfer", "--p", "3"):
+        (0, "446b86efdebcfa60e67a324cebf9d376ceec228ef993d095665006fd8221b572"),
+    ("hom-transfer", "--p", "5"):
+        (0, "0c330e5f3e2f77e9f6888b2909b51567d204ac499c70693d0454d671860d6521"),
     ("all", "--p", "2"):
         (0, "7d29e58edef5469ce2f9af6c1382c262d5b1b0387e6e484827ecd7e903152c88"),
     ("all", "--p", "3"):

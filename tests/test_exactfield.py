@@ -16,6 +16,7 @@ from gl2borel.exactfield import (
     mat_mul_codes,
     mat_vec_codes,
     matrix_relation_kernel,
+    monomial_commutant,
     mul,
     rank_codes,
     rref,
@@ -174,15 +175,88 @@ def test_incremental_span():
 
 def test_matrix_relation_kernel_commutant():
     # the commutant of a cyclic permutation plus a diagonal with distinct
-    # entries (1, 2, 3 in F5; 1, x, x + 1 in F4) is scalar
+    # entries (1, 2, 3 in F5; 1, x, x + 1 in F4) is scalar.  On the orbit
+    # path the diagonal pairs form one admissible orbit and the two
+    # off-diagonal orbits are forced to zero by the diagonal's labels.
     P = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
     D = np.diag([1, 2, 3]).astype(np.int64)
+    tables = [(np.array([2, 0, 1]), np.ones(3, dtype=np.int64)),
+              (np.arange(3), np.array([1, 2, 3]))]
     for F in (Field(5), Field(2, 2)):
-        basis = matrix_relation_kernel(F, [(P, P), (D, D)], 3, 3)
-        assert len(basis) == 1
-        M = basis[0]
-        assert np.array_equal(M, mul(F, np.eye(3, dtype=np.int64), M[0, 0]))
-        assert np.array_equal(mat_mul_codes(F, M, D), mat_mul_codes(F, D, M))
+        for basis in (matrix_relation_kernel(F, [(P, P), (D, D)], 3, 3),
+                      monomial_commutant(F, tables, 3)):
+            assert len(basis) == 1
+            M = basis[0]
+            assert np.array_equal(M, mul(F, np.eye(3, dtype=np.int64), M[0, 0]))
+            assert np.array_equal(mat_mul_codes(F, M, D), mat_mul_codes(F, D, M))
+
+
+def _monomial_matrix(src, coef):
+    """The dense map f -> coef * f[src] of a monomial table."""
+    A = np.zeros((len(src), len(src)), dtype=np.int64)
+    A[np.arange(len(src)), src] = coef
+    return A
+
+
+def _assert_orbit_commutant(F, n, tables):
+    """The orbit basis spans the commutant that matrix_relation_kernel finds
+    from the dense maps, and each basis matrix commutes with each map."""
+    basis = monomial_commutant(F, tables, n)
+    dense = [_monomial_matrix(src, coef) for src, coef in tables]
+    reference = matrix_relation_kernel(F, [(A, A) for A in dense], n, n)
+    assert len(basis) == len(reference)
+    R1, piv1 = rref(F, np.array([M.ravel() for M in basis]))
+    R2, piv2 = rref(F, np.array([M.ravel() for M in reference]))
+    assert piv1 == piv2 and np.array_equal(R1, R2)
+    for M in basis:
+        for A in dense:
+            assert np.array_equal(mat_mul_codes(F, A, M), mat_mul_codes(F, M, A))
+
+
+@st.composite
+def _monomial_sets(draw):
+    """1-3 random monomial maps on n <= 8 points over F3, F5, F4 or F9.  Half
+    of the coefficients are 1, so orbits of pairs often have trivial labels
+    (admissible) and often a label other than 1 around a cycle (zero)."""
+    F = draw(st.sampled_from((Field(3), Field(5), Field(2, 2), Field(3, 2))))
+    n = draw(st.integers(1, 8))
+    codes = (1,) * (F.size - 1) + tuple(range(1, F.size))
+    tables = [(np.array(draw(st.permutations(range(n))), dtype=np.int64),
+               np.array(draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n)),
+                        dtype=np.int64))
+              for _ in range(draw(st.integers(1, 3)))]
+    return F, n, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_sets())
+def test_monomial_commutant_matches_relation_kernel(case):
+    _assert_orbit_commutant(*case)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_monomial_commutant_on_action_tables(p):
+    from gl2borel import principalseries as ps
+    from gl2borel.borellab import default_asymmetric_character
+    from gl2borel.padicmat import diag, upper_u
+
+    gens = [upper_u(p, 1)] + [diag(p, u, 1) for u in range(2, p)] + [
+        diag(p, 1, u) for u in range(2, p)] + [diag(p, p, p)]
+    for chi in (default_asymmetric_character(p), TorusCharacter.trivial(Field(p))):
+        for level in (1, 2, 3) if p == 2 else (1, 2):
+            n = p**level + p ** (level - 1)
+            _assert_orbit_commutant(chi.field, n,
+                                    [ps.action_table(chi, g, level) for g in gens])
+
+
+def test_monomial_commutant_rejects_bad_tables():
+    F = Field(5)
+    with pytest.raises(ValueError, match="nonzero"):
+        monomial_commutant(F, [(np.arange(3), np.array([1, 0, 2]))], 3)
+    with pytest.raises(ValueError, match="permutation"):
+        monomial_commutant(F, [(np.array([0, 0, 1]), np.ones(3, dtype=np.int64))], 3)
+    with pytest.raises(ValueError, match="permutation"):
+        monomial_commutant(F, [(np.arange(2), np.ones(2, dtype=np.int64))], 3)
 
 
 def test_rref_determinism_and_rank():

@@ -314,6 +314,10 @@ def test_action_matrix_level_overflow():
     with pytest.raises(LevelOverflowError, match="level overflow"):
         action_matrix(chi, t_mat(3), 2, n_max=2)
     assert action_matrix(chi, t_mat(3), 2, n_max=3).shape == (36, 12)
+    with pytest.raises(LevelOverflowError, match="level overflow"):
+        ps.action_table(chi, t_mat(3), 2, n_max=2)
+    src, coef = ps.action_table(chi, t_mat(3), 2, n_max=3)
+    assert src.shape == coef.shape == (36,)
 
 
 def test_action_table_cache_hit_and_bound():
