@@ -23,9 +23,16 @@ T moves each vertex to its neighbours, so on coefficient vectors it is
 block-sparse: the block column of T at a vertex x is one dim x dim matrix
 B per vertex x', with T[x, c] the sum of the [x', B c].  It is compiled once per
 (weight, variant, vertex) from translates of T phi and kept on the weight.
-`hecke_T` sums the blocks of the vertices of its argument, and
-`ideal_matrix` composes them vertex by vertex into the columns of P(T) on a
-ball.
+`hecke_T` sums the blocks of the vertices of its argument.  The block
+column of P(T) at a vertex is composed from them once per (ideal, vertex);
+`ideal_matrix` lays those columns out over a ball.
+
+Quotient membership needs no ball matrix.  c-Ind is free over F[T], so P(T)
+is injective, and its leading part at a vertex x (deg P spheres further
+out) maps onto x's descendants there, disjoint for distinct x.  So
+`quotient_membership` works from the outermost sphere of f inward, with one
+small solve per vertex against that leading block.  The answer is exact at
+the radius asked for, and no larger radius is tried.
 """
 
 from __future__ import annotations
@@ -479,36 +486,87 @@ class BallIndex:
                 yield CindElement(self.weight, {v: coeffs})
 
 
+@lru_cache(maxsize=4096)
+def _parent(vertex: TreeVertex) -> TreeVertex:
+    """The neighbour of a vertex one step nearer the base vertex: of the p + 1
+    neighbours rep(vertex) [[p, l], [0, 1]] (0 <= l < p) and
+    rep(vertex) [[1, 0], [0, p]], the one at distance one less."""
+    p, n = vertex.p, vertex.distance() - 1
+    P, X, S = _vertex_ints(vertex)
+    for A, B, D in [(P * p, P * l + X, S) for l in range(p)] + [(P, X * p, S * p)]:
+        nv = _translate(p, 1, A, B, 0, D)[0]
+        if nv.distance() == n:
+            return nv
+    raise ValueError("the base vertex has no parent")
+
+
+def _ideal_column(weight: Weight, ideal: HeckeIdeal, x: TreeVertex):
+    """(vertices, stack, lead): P(T)'s block column at x, with P(T)[x, c] the
+    sum of [vertices[i], B_i c] for B_i the i-th dim x dim block of stack.
+
+    The column is the sum of c_n T^n[x] over the coefficients c_n of the
+    ideal, T^(n+1)[x] composed from the block columns of T.  Only T^deg
+    reaches the sphere deg further out than x, and only at x's descendants
+    there: those vertices come first, and lead maps each to its index."""
+    key = ("pcol", ideal.key, x)
+    entry = weight._hecke_cache.get(key)
+    if entry is not None:
+        return entry
+    field, d = weight.field, weight.dim
+    one = field.one()
+    col = {}
+    power = {x: np.eye(d, dtype=np.int64)}
+    for n, c in enumerate(ideal.coeffs):
+        if not c.is_zero():
+            for v, M in power.items():
+                term = M if c == one else xf.mul(field, M, c.code)
+                col[v] = xf.add(field, col[v], term) if v in col else term
+        if n < ideal.degree:
+            power = _hecke_apply(weight, "default", power)
+    outer = x.distance() + ideal.degree
+    verts = sorted(col, key=lambda v: v.distance() != outer)
+    stack = np.concatenate([col[v] for v in verts])
+    stack.flags.writeable = False
+    lead = {v: i for i, v in enumerate(verts) if v.distance() == outer}
+    entry = (tuple(verts), stack, lead)
+    weight._hecke_cache[key] = entry
+    return entry
+
+
+def _leading_solver(weight: Weight, ideal: HeckeIdeal, x: TreeVertex) -> xf.CachedSolver:
+    """A solver on the leading block L_x of P(T)'s column at x, its blocks
+    at x's descendants deg spheres further out stacked.  L_x is injective
+    (for deg = 1 it evaluates a degree-r form at the p or p + 1 points of
+    P^1(F_p) below x, and r <= p - 1), which is what makes membership
+    decidable sphere by sphere; a rank below dim raises."""
+    key = ("plead", ideal.key, x)
+    solver = weight._hecke_cache.get(key)
+    if solver is None:
+        _, stack, lead = _ideal_column(weight, ideal, x)
+        solver = xf.CachedSolver(weight.field, stack[:len(lead) * weight.dim])
+        if solver.rank != weight.dim:
+            raise RuntimeError(f"leading block of {ideal!r} at {x} has rank "
+                               f"{solver.rank} < {weight.dim}: P(T) is not injective")
+        weight._hecke_cache[key] = solver
+    return solver
+
+
 def ideal_matrix(weight: Weight, ideal: HeckeIdeal, R: int):
     """Matrix of ideal(T): ball(R) -> ball(R + deg), columns over the ball
-    basis; memoized on the weight since it backs every quotient solve.
-
-    Column block x (the dim columns of one inner vertex) is the sum of
-    c_n T^n[x] over the coefficients c_n of the ideal, where T^n[x] is kept
-    as dim x dim blocks per vertex and T^(n+1)[x] is composed from the block
-    columns of T, so no ball element is built per basis vector."""
+    basis; memoized on the weight.  Column block x (the dim columns of one
+    inner vertex) is P(T)'s block column at x from `_ideal_column`."""
     key = ("idealmat", ideal.key, R)
     if key in weight._hecke_cache:
         return weight._hecke_cache[key]
     inner = BallIndex(weight, R)
     outer = BallIndex(weight, R + ideal.degree)
-    field, d = weight.field, weight.dim
-    one = field.one()
-    eye = np.eye(d, dtype=np.int64)
+    d = weight.dim
     A = np.zeros((outer.dim, inner.dim), dtype=np.int64)
     for i, x in enumerate(inner.vertices):
-        col = {}
-        power = {x: eye}
-        for n, c in enumerate(ideal.coeffs):
-            if not c.is_zero():
-                for v, M in power.items():
-                    term = M if c == one else xf.mul(field, M, c.code)
-                    col[v] = xf.add(field, col[v], term) if v in col else term
-            if n < ideal.degree:
-                power = _hecke_apply(weight, "default", power)
-        for v, M in col.items():
+        verts, stack, _ = _ideal_column(weight, ideal, x)
+        for k, v in enumerate(verts):
             j = outer.index[v]
-            A[j * d:(j + 1) * d, i * d:(i + 1) * d] = M
+            A[j * d:(j + 1) * d, i * d:(i + 1) * d] = stack[k * d:(k + 1) * d]
     weight._hecke_cache[key] = (A, inner, outer)
     return A, inner, outer
 
@@ -528,47 +586,76 @@ class MembershipResult:
         return f"<{self.status} @R={self.certified_radius}>"
 
 
-def _ideal_solver(weight: Weight, ideal: HeckeIdeal, R: int) -> xf.CachedSolver:
-    key = ("solver", ideal.key, R)
-    if key not in weight._hecke_cache:
-        A, _, _ = ideal_matrix(weight, ideal, R)
-        weight._hecke_cache[key] = xf.CachedSolver(weight.field, A)
-    return weight._hecke_cache[key]
+def _peel(weight: Weight, ideal: HeckeIdeal, rest: dict):
+    """Clear rest (vertex -> code vector, changed in place) sphere by sphere
+    by subtracting P(T)[x, c]; the {x: c} that clear it, or None at the
+    first sphere that cannot be cleared, leaving the remainder in rest."""
+    field, d, deg = weight.field, weight.dim, ideal.degree
+    zero = np.zeros(d, dtype=np.int64)
+    pre = {}
+    while rest:
+        N = max(v.distance() for v in rest)
+        if N < deg:
+            return None
+        groups = {}
+        for y in rest:
+            if y.distance() == N:
+                x = y
+                for _ in range(deg):
+                    x = _parent(x)
+                groups.setdefault(x, []).append(y)
+        for x, ys in groups.items():
+            verts, stack, lead = _ideal_column(weight, ideal, x)
+            if any(y not in lead for y in ys):
+                return None
+            b = np.zeros((len(lead), d), dtype=np.int64)
+            for y in ys:
+                b[lead[y]] = rest[y]
+            c, _ = _leading_solver(weight, ideal, x).solve(b.ravel())
+            if c is None:
+                return None
+            pre[x] = c
+            image = xf.mat_vec_codes(field, stack, c).reshape(-1, d)
+            diff = xf.sub(field, np.array([rest.pop(v, zero) for v in verts]), image)
+            for v, vec, nz in zip(verts, diff, diff.any(axis=1)):
+                if nz:
+                    rest[v] = vec
+    return pre
 
 
 def quotient_membership(f: CindElement, ideal: HeckeIdeal, R: int,
                         r_max: int = DEFAULT_R_MAX) -> MembershipResult:
-    """Decide f in ideal(T).c-Ind with the preimage supported in radius <= R.
+    """Decide f in ideal(T).c-Ind, sphere by sphere from the outside in.
 
-    A "zero" answer carries the exact preimage (re-verified by applying the
-    ideal); a "nonzero" answer carries an inconsistency certificate and is
-    re-checked at radius R + 1.
+    c-Ind is free over F[T], so P(T) is injective and P(T) h has radius
+    exactly radius(h) + deg: the preimage, when there is one, is unique and
+    has radius <= R - deg, and no larger ball can find one that R misses, so
+    no radius beyond R is tried.  With N the radius of the remainder (f at
+    first), its sphere-N support is grouped by ancestor x at distance
+    N - deg; for each x the leading block L_x of P(T)'s column at x is solved
+    against the remainder on x's descendants and P(T)[x, c] is subtracted,
+    which clears sphere N.  A support vertex outside L_x's rows, an
+    inconsistent block, or a nonzero remainder of radius < deg gives
+    "nonzero", with that remainder (f minus an element of the image, with
+    an outer sphere no element of the image has) as the certificate.  A
+    remainder that reaches 0 gives "zero" with the preimage h = sum [x, c],
+    re-verified by applying the ideal.
     """
     if R < f.radius():
         raise ValueError("R must be at least the radius of f")
     if R > r_max:
         raise TruncationError(
             f"truncation too small: radius {R} exceeds R_max={r_max}; raise R_max")
-
-    def try_radius(rr):
-        _, inner, outer = ideal_matrix(f.weight, ideal, rr)
-        solver = _ideal_solver(f.weight, ideal, rr)
-        x, cert = solver.solve(outer.coords(f))
-        return x, cert, inner
-
-    x, cert, inner = try_radius(R)
-    if x is not None:
-        h = inner.elem(x)
-        if not (ideal.apply(h) - f).is_zero():
-            raise RuntimeError("solver returned an invalid preimage")
-        return MembershipResult("zero", preimage=h, certified_radius=R)
-    x2, cert2, inner2 = try_radius(R + 1)
-    if x2 is not None:
-        h = inner2.elem(x2)
-        if not (ideal.apply(h) - f).is_zero():
-            raise RuntimeError("solver returned an invalid preimage")
-        return MembershipResult("zero", preimage=h, certified_radius=R + 1)
-    return MembershipResult("nonzero", certificate=cert2, certified_radius=R + 1)
+    w = f.weight
+    rest = {v: np.array(codes, dtype=np.int64) for v, codes in f.codes()}
+    pre = _peel(w, ideal, rest)
+    if pre is None:
+        return MembershipResult("nonzero", certificate=CindElement.from_codes(w, rest),
+                                certified_radius=R)
+    h = CindElement.from_codes(w, pre)
+    if not (ideal.apply(h) - f).is_zero():
+        raise RuntimeError("solver returned an invalid preimage")
+    return MembershipResult("zero", preimage=h, certified_radius=R)
 
 
 class QuotientElement:

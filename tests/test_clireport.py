@@ -233,7 +233,10 @@ def test_cli_in_subprocess():
 # before the Hecke operator was built from per-vertex block columns.  The
 # `hom-transfer --p 3` pin was recorded before `princ_endo` was solved on
 # orbit commutants; `hom-transfer --p 5` first finished with that change, so
-# its pin comes from it.
+# its pin comes from it.  The two `lemma-s` pins and the `recursion --p 3
+# --ideal T-1` pin (a truncation stop, exit 3) were recorded while quotient
+# membership was still a dense solve over the whole ball with a re-check at
+# radius R + 1, before it was decided sphere by sphere.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -259,6 +262,12 @@ REPORT_DIGESTS = {
         (0, "12d2cc5b42c94c94bf1f15cca44f159f418618c597e44d761b61b22c5dc4031a"),
     ("identities", "--p", "13", "--trials", "50"):
         (0, "c0f32ec80cc14e1d53106b492700629723e49f2779ccb67bc400105a791adb2b"),
+    ("lemma-s", "--p", "5", "--trials", "20"):
+        (0, "702fc787c1e896500a9791f360f7579070b8ddf1512305b0da0bc795d96f922f"),
+    ("recursion", "--p", "3", "--ideal", "T-1"):
+        (3, "69479240311a0d9071014bbd6b8eecffbe4a3784a61cd5e90c75279aae70d183"),
+    ("lemma-s", "--p", "3"):
+        (0, "65efa1261bf71b891a8d26726075f6eed7828fcba80579bd79adeee8799b1b37"),
 }
 
 

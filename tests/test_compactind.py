@@ -15,8 +15,10 @@ from gl2borel.compactind import (
     TruncationError,
     _hecke_blocks,
     _hecke_data,
-    _ideal_solver,
+    _ideal_column,
     _integer_form,
+    _leading_solver,
+    _parent,
     _translate,
     _vertex_ints,
     act,
@@ -176,7 +178,7 @@ def test_membership_examples():
     res = quotient_membership(phi, ideal, 2)
     assert res.status == "nonzero"
     assert res.certificate is not None
-    assert res.certified_radius == 3
+    assert res.certified_radius == 2
 
     ideal2 = HeckeIdeal.parse(w.field, "T^2")
     res = quotient_membership(hecke_T(tphi), ideal2, 2)
@@ -483,14 +485,17 @@ def test_residue_matrices_cached_read_only():
 
 def test_hecke_cache_keyed_by_coefficients():
     w = Weight(3, 1, 0)
+    base = TreeVertex(3, 0, 0)
     t_minus_1 = HeckeIdeal.parse(w.field, "T-1")
     t_plus_2 = HeckeIdeal.parse(w.field, "T+2")
     assert t_minus_1.key == t_plus_2.key
-    assert _ideal_solver(w, t_minus_1, 0) is _ideal_solver(w, t_plus_2, 0)
+    assert _ideal_column(w, t_minus_1, base) is _ideal_column(w, t_plus_2, base)
+    assert _leading_solver(w, t_minus_1, base) is _leading_solver(w, t_plus_2, base)
     t1 = HeckeIdeal.parse(w.field, "T")
     t2 = HeckeIdeal.parse(w.field, "T^2")
     assert t1.key != t2.key
-    assert _ideal_solver(w, t1, 0) is not _ideal_solver(w, t2, 0)
+    assert _ideal_column(w, t1, base) is not _ideal_column(w, t2, base)
+    assert _leading_solver(w, t1, base) is not _leading_solver(w, t2, base)
 
 
 def _hecke_T_termwise(f, variant="default"):
@@ -550,3 +555,82 @@ def test_ideal_matrix_matches_basis_vector_columns(w):
             A, inner, outer = ideal_matrix(w, ideal, R)
             cols = [outer.coords(ideal.apply(b)) for b in inner.basis_elements()]
             assert np.array_equal(A, np.array(cols, dtype=np.int64).T), (spec, R)
+
+
+def _dense_membership(f, ideal, R):
+    """The reference: the preimage from one exact solve against the matrix
+    of P(T) on the ball of radius R, or None when there is none."""
+    A, inner, outer = ideal_matrix(f.weight, ideal, R)
+    x, _, _ = xf.solve_codes(f.weight.field, A, outer.coords(f))
+    return None if x is None else inner.elem(x)
+
+
+MEMBERSHIP_WEIGHTS = ([Weight(p, r, r % (p - 1) if p > 2 else 0) for p in (2, 3, 5)
+                       for r in range(p)]
+                      + [Weight(2, r, 0, Field(2, 2)) for r in range(2)])
+
+
+@pytest.mark.parametrize("w", MEMBERSHIP_WEIGHTS, ids=lambda w: f"p{w.p}-{w!r}-{w.field!r}")
+def test_membership_matches_dense_solve(w):
+    # images P(T) h, images plus a sparse error, and random elements, each
+    # against the dense ball solve; P(T) is injective, so a "zero" answer's
+    # preimage is the reference one entry for entry
+    rng = random.Random(f"membership:{w.p}:{w.r}:{w.field.k}")
+    size = w.field.size
+    zeros = 0
+    for spec in ("T", "T^2", "T-1", "T+2"):
+        ideal = HeckeIdeal.parse(w.field, spec)
+        for R in range(4 if w.p < 5 else 2):
+            ball = BallIndex(w, R)
+            inputs = [ball.elem([rng.randrange(size) for _ in range(ball.dim)])]
+            if R >= ideal.degree:
+                inner = BallIndex(w, R - ideal.degree)
+                image = ideal.apply(inner.elem([rng.randrange(size) for _ in range(inner.dim)]))
+                vert = rng.choice(ball.vertices)
+                noise = CindElement(w, {vert: [rng.randrange(size) for _ in range(w.dim)]})
+                inputs += [image, image + noise]
+            for f in inputs:
+                res = quotient_membership(f, ideal, R)
+                ref = _dense_membership(f, ideal, R)
+                assert res.status == ("nonzero" if ref is None else "zero"), (spec, R, f)
+                assert res.certified_radius == R
+                if ref is not None:
+                    zeros += 1
+                    assert res.preimage == ref, (spec, R, f)
+                else:
+                    assert not res.certificate.is_zero()
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_parent_is_the_inward_neighbour(p):
+    w = Weight(p, 0, 0)
+    for v in ball_vertices(p, 3)[1:]:
+        up = _parent(v)
+        assert up.distance() == v.distance() - 1
+        assert v in _hecke_blocks(w, "default", up)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_leading_block_injective_for_every_weight(p):
+    # for T the leading block at x evaluates a degree-r form at the points of
+    # P^1(F_p) below x: p + 1 of them at the base vertex, p elsewhere
+    for r in range(p):
+        for m in range(max(p - 1, 1)):
+            w = Weight(p, r, m)
+            ideal = HeckeIdeal.parse(w.field, "T")
+            for x in (TreeVertex(p, 0, 0), ball_vertices(p, 2)[-1]):
+                assert _leading_solver(w, ideal, x).rank == w.dim
+
+
+def test_rank_deficient_leading_block_raises():
+    w = Weight(3, 2, 0)
+    base = TreeVertex(3, 0, 0)
+    child, block = next(iter(_hecke_blocks(w, "default", base).items()))
+    # T's column at the base vertex forged down to one neighbour, whose
+    # block has rank at most one: the leading block cannot be injective
+    w._hecke_cache[("hblock", "default", base)] = {child: block}
+    assert xf.rank_codes(w.field, block) < w.dim
+    f = CindElement(w, {child: [1, 0, 0]})
+    with pytest.raises(RuntimeError, match="rank"):
+        quotient_membership(f, HeckeIdeal.parse(w.field, "T"), 1)
