@@ -646,6 +646,18 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
     the image of the target ball in the quotient; the target dimension comes
     from an independent ball/image enumeration, cross-checked at two radii.
 
+    The span W_d of the words of length <= d is grown by spin-up (R. A.
+    Parker, "The computer calculation of modular characters", 1984), level by
+    level: W_{d+1} = W_d + sum_g g B_d, where B_d holds the vectors that were
+    new at depth d.  This is the span of all words, because g W_{d-1} lies in
+    W_d, so only the span's new directions are acted on, not |gens|^d words.
+    Each depth's frame has the largest radius among the basis, the vectors
+    just generated and the targets, which is often smaller than the largest
+    radius over all words; ranks are still exact, since a quotient frame at
+    radius R >= every vector's radius loses nothing: P(T) h has radius
+    radius(h) + deg P, so an ideal element inside the ball of radius R is
+    the image of one inside the ball of radius R - deg P.
+
     Starting vectors are sampled at the base vertex by default (the class the
     canonical generator lives in); vectors seeded deeper on the contracting
     spine are documented to need longer words."""
@@ -668,22 +680,19 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
     targets = list(ball.basis_elements())
     for _ in range(trials):
         w = model.random_vector(rng, radius=sample_radius)
-        vectors = [w]
-        frontier = [w]
-        covered = word_length > 0 and _covers(model, vectors, targets)
-        depth_used = 0
-        for depth in range(1, word_length + 1):
-            if covered:
+        basis, new = [], [w]
+        for depth in range(word_length + 1):
+            frame = model.frame(basis + new + targets)
+            rows = frame.matrix(basis + new)
+            span = xf.IncrementalSpan(model.field, frame.dim, rows[:len(basis)])
+            fresh = [v for v, row in zip(new, rows[len(basis):]) if span.add(row)]
+            basis += fresh
+            covered = word_length > 0 and not np.any(span.reduce(frame.matrix(targets)))
+            if covered or depth == word_length:
                 break
-            new = [model.act(g, f) for g in gens for f in frontier]
-            vectors.extend(new)
-            frontier = new
-            depth_used = depth
-            if _covers(model, vectors, targets):
-                covered = True
-        span_dim = _quotient_span_dim(model, vectors)
+            new = [model.act(g, f) for g in gens for f in fresh]
         report["per_trial"].append({
-            "span_dim": span_dim, "covers_ball": covered, "depth": depth_used,
+            "span_dim": len(basis), "covers_ball": covered, "depth": depth,
             "status": "pass" if covered else "fail",
             "start_support": [repr(v) for v in sorted(w.support, key=lambda v: v.sort_key())],
         })
@@ -701,17 +710,6 @@ def _quotient_ball_dim(model, r_target):
         basis = list(ci.BallIndex(model.weight, r_target).basis_elements())
         out.append(xf.rank_codes(model.field, frame.matrix(basis)))
     return out[0], out[1]
-
-
-def _covers(model, vectors, targets) -> bool:
-    frame = model.frame(vectors + targets)
-    span = xf.IncrementalSpan(model.field, frame.dim, frame.matrix(vectors))
-    return not np.any(span.reduce(frame.matrix(targets)))
-
-
-def _quotient_span_dim(model, vectors) -> int:
-    frame = model.frame(vectors)
-    return xf.rank_codes(model.field, frame.matrix(vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gl2borel import compactind as ci
+from gl2borel import exactfield as xf
 from gl2borel import principalseries as ps
 from gl2borel.exactfield import Field
 from gl2borel.fqweights import (
@@ -34,7 +36,7 @@ from gl2borel.borellab import (
     proportionality,
     recursion,
 )
-from gl2borel.padicmat import s_mat, t_mat
+from gl2borel.padicmat import diag, s_mat, t_mat, upper_u
 
 
 def cind_T_model(p=3, r=1, m=0, spec="T"):
@@ -290,6 +292,82 @@ def test_generation_requires_quotient():
     model = CindModel(Weight(2, 1, 0))
     with pytest.raises(ValueError):
         p_generation_evidence(model, 1, 1, 1, random.Random(0))
+
+
+def _generation_by_all_words(model, trials, word_length, rng, sample_radius):
+    """The reference: every P-word up to the word length applied to each
+    start vector, all of them ranked in one frame.  Per trial, (span_dim,
+    depth, covers_ball) at each word length L <= word_length, and whether
+    the start vector is a multiple of the canonical generator phi."""
+    p = model.p
+    gens = [upper_u(p, 1), upper_u(p, Fraction(1, p)), t_mat(p), t_mat(p).inv()]
+    gens += [diag(p, u, 1) for u in range(2, p)]
+    targets = list(ci.BallIndex(model.weight, 1).basis_elements())
+    out = []
+    for _ in range(trials):
+        w = model.random_vector(rng, radius=sample_radius)
+        words, frontier, sizes = [w], [w], [1]
+        for _ in range(word_length):
+            frontier = [model.act(g, f) for g in gens for f in frontier]
+            words += frontier
+            sizes.append(len(words))
+        frame = model.frame(words + targets)
+        rows, target_rows = frame.matrix(words), frame.matrix(targets)
+        ranks = [xf.rank_codes(model.field, rows[:n]) for n in sizes]
+        covers = [xf.rank_codes(model.field, np.concatenate([rows[:n], target_rows])) == r
+                  for n, r in zip(sizes, ranks)]
+        by_length = {}
+        for L in range(1, word_length + 1):
+            d = next((d for d in range(L + 1) if covers[d]), L)
+            by_length[L] = (ranks[d], d, covers[d])
+        out.append((by_length, proportionality(model, model.generator(), w) is not None))
+    return out
+
+
+@pytest.mark.parametrize("p,max_length,trials", [(2, 4, 5), (3, 3, 6)])
+@pytest.mark.parametrize("sample_radius", [0, 1])
+def test_generation_spin_up_matches_all_words(p, max_length, trials, sample_radius):
+    # the spin-up acts only on each depth's new span directions; its span
+    # dims, depths and verdicts must be those of all words up to each length
+    w = Weight(p, 1, 0)
+    model = CindModel(w, ci.HeckeIdeal.parse(w.field, "T"), r_max=12)
+    seed = f"spin-up:{p}:{sample_radius}"
+    ref = _generation_by_all_words(model, trials, max_length, random.Random(seed),
+                                   sample_radius)
+    if sample_radius == 0:
+        # start vectors on the phi line need the deepest words
+        assert {on_phi for _, on_phi in ref} == {True, False}
+    for L in range(1, max_length + 1):
+        rep = p_generation_evidence(model, trials, 1, L, random.Random(seed),
+                                    sample_radius=sample_radius)
+        got = [(t["span_dim"], t["depth"], t["covers_ball"]) for t in rep["per_trial"]]
+        assert got == [by_length[L] for by_length, _ in ref], L
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("spec", ["T", "T^2"])
+def test_quotient_frame_rank_is_exact(p, spec):
+    # a quotient frame at radius R loses nothing on vectors of radius <= R:
+    # widening it to R + 1 or R + 2 leaves every rank unchanged, also for
+    # sets holding elements of the ideal
+    w = Weight(p, 1, 0)
+    ideal = ci.HeckeIdeal.parse(w.field, spec)
+    model = CindModel(w, ideal)
+    rng = random.Random(f"frame:{p}:{spec}")
+    size = w.field.size
+    for R in range(ideal.degree + 2):
+        ball = ci.BallIndex(w, R)
+        vectors = [ball.elem([rng.randrange(size) for _ in range(ball.dim)])
+                   for _ in range(3)]
+        if R >= ideal.degree:
+            inner = ci.BallIndex(w, R - ideal.degree)
+            images = [ideal.apply(inner.elem([rng.randrange(size) for _ in range(inner.dim)]))
+                      for _ in range(2)]
+            vectors += images + [images[0] + vectors[0], images[1] - vectors[0] - vectors[1]]
+        for subset in (vectors, vectors[3:], vectors[:2] + vectors[-1:]):
+            ranks = [xf.rank_codes(w.field, model._frame_at(R + k).matrix(subset))
+                     for k in range(3)]
+            assert ranks[0] == ranks[1] == ranks[2], (R, ranks)
 
 
 def test_hom_cases_pass():

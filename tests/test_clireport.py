@@ -236,7 +236,10 @@ def test_cli_in_subprocess():
 # its pin comes from it.  The two `lemma-s` pins and the `recursion --p 3
 # --ideal T-1` pin (a truncation stop, exit 3) were recorded while quotient
 # membership was still a dense solve over the whole ball with a re-check at
-# radius R + 1, before it was decided sphere by sphere.
+# radius R + 1, before it was decided sphere by sphere.  The three
+# `generation` pins (`--p 3 --trials 20` fails on its phi-line trials, exit 2)
+# were recorded while the generation evidence still applied every generator
+# to every word up to the word length, before it grew the span by spin-up.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -268,6 +271,14 @@ REPORT_DIGESTS = {
         (3, "69479240311a0d9071014bbd6b8eecffbe4a3784a61cd5e90c75279aae70d183"),
     ("lemma-s", "--p", "3"):
         (0, "65efa1261bf71b891a8d26726075f6eed7828fcba80579bd79adeee8799b1b37"),
+    ("generation", "--p", "3", "--trials", "20"):
+        (2, "cf38a5eb0f5d27c8bc389188420ac90cd63a82e334b90d03a6652731142fc883"),
+    ("generation", "--p", "2", "--trials", "5", "--sample-radius", "1",
+     "--word-length", "4"):
+        (0, "3b53f11f85f548fa4a55d4f961b32c54dc1e7f6660a0d65c9a3f34a4f536aca9"),
+    ("generation", "--p", "3", "--trials", "4", "--sample-radius", "1",
+     "--word-length", "3"):
+        (2, "c596b93f226c3a415e48de30e0d35cdb27837796f98ded27d6f88bd9c8c14785"),
 }
 
 
