@@ -147,6 +147,13 @@ class RunConfig:
         return d
 
 
+def _as_int(val) -> int:
+    """A JSON integer (not a bool) or a string of one; 2.7 is never truncated."""
+    if isinstance(val, bool) or not isinstance(val, (int, str)):
+        raise ValueError(f"not an integer: {val!r}")
+    return int(val)
+
+
 def parse_argv(argv) -> RunConfig:
     if not argv:
         raise UsageError("missing command")
@@ -174,20 +181,19 @@ def parse_argv(argv) -> RunConfig:
             continue
         values[key] = val
 
-    merged = {}
-    for src in (file_values, values):
-        for key, val in src.items():
-            merged[key.replace("-", "_")] = val
-
+    # flags override the file, and the file the environment's seed; every
+    # value is parsed, so a malformed file value is refused even if overridden
+    items = [(key.replace("-", "_"), val) for src in (file_values, values)
+             for key, val in src.items()]
     cfg = RunConfig(command=command)
-    if "seed" not in merged and os.environ.get("WORKBENCH_SEED"):
-        merged["seed"] = os.environ["WORKBENCH_SEED"]
-    for key, val in merged.items():
+    if "seed" not in dict(items) and os.environ.get("WORKBENCH_SEED"):
+        items.insert(0, ("seed", os.environ["WORKBENCH_SEED"]))
+    for key, val in items:
         if key in ("weight", "char"):
-            try:
-                parts = ([int(x) for x in val.split(",")]
-                         if isinstance(val, str) else [int(x) for x in val])
-            except (ValueError, AttributeError, TypeError):
+            try:  # a str "r,m" or a JSON list; anything else is one bad part
+                parts = [_as_int(x) for x in (val.split(",") if isinstance(val, str)
+                                              else val if isinstance(val, list) else [val])]
+            except ValueError:
                 raise UsageError(f"cannot parse --{key} value {val!r}")
             need = 2 if key == "weight" else 4
             if len(parts) != need:
@@ -197,8 +203,8 @@ def parse_argv(argv) -> RunConfig:
             setattr(cfg, key, str(val))
         elif hasattr(cfg, key) and key != "command":
             try:
-                setattr(cfg, key, int(val))
-            except (TypeError, ValueError):
+                setattr(cfg, key, _as_int(val))
+            except ValueError:
                 raise UsageError(f"--{key} needs an integer, got {val!r}")
         else:
             raise UsageError(f"unknown flag --{key}")

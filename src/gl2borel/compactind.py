@@ -2,20 +2,22 @@
 quotients by polynomials in that operator.
 
 Elements are finite formal sums [g, v] over tree vertices (right cosets
-g.(F^x K)), with v a coefficient vector of the weight.  The group acts on
-labels by left multiplication; the Hecke operator is pinned by its value on
-the canonical generator phi = [1, v0] and extended linearly and
+g.(F^x K)), with v a coefficient vector of the weight held as a tuple of
+field codes, so sums and translates build no field objects.  The group acts
+on labels by left multiplication; the Hecke operator is pinned by its value
+on the canonical generator phi = [1, v0] and extended linearly and
 G-equivariantly, which keeps every computation inside finite balls.
 
 Translating a label runs in Python integers.  A vertex is a homothety class
 of lattices, so g rep(v) = rep(v') p^j k with k in K is read off the integer
 matrix N = (L g)(p^t rep(v)), where L clears the denominators of g and p^t
-those of rep(v): one column operation in SL_2(Z) makes N upper triangular,
-the valuations of its diagonal give v', and k comes from N by exact division.
-Both scalars are central; only the prime-to-p part of L survives, as the unit
-it multiplies the residue matrix of k by.  The pair (v', residue matrix) is
-kept in a bounded cache keyed on N, so a summand costs one integer product,
-one lookup and one product with the weight's cached matrix of that residue.
+those of rep(v) (the vertex's `int_form`, kept on it): one column operation
+in SL_2(Z) makes N upper triangular, the valuations of its diagonal give
+v', and k comes from N by exact division.  Both scalars are central; only
+the prime-to-p part of L survives, as the unit it multiplies the residue
+matrix of k by.  The pair (v', residue matrix) is kept in a bounded cache
+keyed on N, so a summand costs one integer product, one lookup and one
+product with the weight's cached matrix of that residue.
 `padicmat.vertex_normalize` and `fxk_factor` are the exact reference the
 integer path is tested against.
 
@@ -73,7 +75,13 @@ class SpanningSetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class CindElement:
-    """Finite formal sum over tree vertices with weight-vector coefficients."""
+    """Finite formal sum over tree vertices with weight-vector coefficients.
+
+    `support` maps each vertex to its coefficient vector as a tuple of field
+    codes (ints), zero vectors dropped; arithmetic runs on the codes.  The
+    constructor reads each coefficient as `field.el` does (a FieldElem, or an
+    int residue of the prime subfield, never a code: see `from_codes`);
+    FieldElem appears nowhere else but in `repr`."""
 
     __slots__ = ("weight", "support")
 
@@ -81,26 +89,22 @@ class CindElement:
         self.weight = weight
         clean = {}
         for v, coeffs in (support or {}).items():
-            tup = tuple(weight.field.el(c) for c in coeffs)
-            if len(tup) != weight.dim:
+            codes = tuple(weight.field.el(c).code for c in coeffs)
+            if len(codes) != weight.dim:
                 raise ValueError("coefficient length mismatch")
-            if any(not c.is_zero() for c in tup):
-                clean[v] = tup
+            if any(codes):
+                clean[v] = codes
         self.support = clean
 
     @classmethod
     def from_codes(cls, weight: Weight, support: dict) -> "CindElement":
-        """The element with the given code vector at each vertex; vertices
-        whose vector is zero are dropped."""
-        out = cls(weight)
-        fld = weight.field
-        out.support = {v: tuple(fld.from_code(int(c)) for c in codes)
-                       for v, codes in support.items() if np.any(codes)}
+        """The element with the given code vector (ndarray or sequence) at
+        each vertex; vertices whose vector is zero are dropped."""
+        out = cls.__new__(cls)
+        out.weight = weight
+        out.support = {v: codes for v, c in support.items() if any(codes := tuple(
+            c.tolist() if isinstance(c, np.ndarray) else map(int, c)))}
         return out
-
-    def codes(self) -> list:
-        """(vertex, coefficient codes) for each vertex of the support."""
-        return [(v, [c.code for c in coeffs]) for v, coeffs in self.support.items()]
 
     def is_zero(self) -> bool:
         return not self.support
@@ -113,19 +117,17 @@ class CindElement:
     def __add__(self, other):
         if not isinstance(other, CindElement) or other.weight != self.weight:
             return NotImplemented
+        add = self.weight.field.add_codes
         out = dict(self.support)
-        f = self.weight.field
-        for v, coeffs in other.support.items():
-            if v in out:
-                out[v] = tuple(a + b for a, b in zip(out[v], coeffs))
-            else:
-                out[v] = coeffs
-        return CindElement(self.weight, out)
+        for v, b in other.support.items():
+            a = out.get(v)
+            out[v] = b if a is None else tuple(map(add, a, b))
+        return CindElement.from_codes(self.weight, out)
 
     def __neg__(self):
-        return CindElement(
-            self.weight, {v: tuple(-c for c in coeffs) for v, coeffs in self.support.items()}
-        )
+        neg = self.weight.field.neg_code
+        return CindElement.from_codes(
+            self.weight, {v: tuple(map(neg, codes)) for v, codes in self.support.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CindElement):
@@ -133,28 +135,28 @@ class CindElement:
         return self + (-other)
 
     def scale(self, x) -> "CindElement":
-        x = self.weight.field.el(x)
-        return CindElement(
-            self.weight, {v: tuple(x * c for c in coeffs) for v, coeffs in self.support.items()}
-        )
+        fld = self.weight.field
+        x = fld.el(x).code
+        return CindElement.from_codes(self.weight, {
+            v: [fld.mul_codes(x, c) for c in codes] for v, codes in self.support.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CindElement):
             return NotImplemented
         return self.weight == other.weight and self.support == other.support
 
+    def _sorted(self):
+        return sorted(self.support.items(), key=lambda kv: kv[0].sort_key())
+
     def __repr__(self):
         if self.is_zero():
             return "0"
-        bits = [f"[{v}]*{list(coeffs)}" for v, coeffs in sorted(
-            self.support.items(), key=lambda kv: kv[0].sort_key())]
-        return " + ".join(bits)
+        fld = self.weight.field
+        return " + ".join(f"[{v}]*{[fld.from_code(c) for c in codes]}"
+                          for v, codes in self._sorted())
 
     def serialize(self):
-        return [
-            {"vertex": v.serialize(), "coeffs": [c.code for c in coeffs]}
-            for v, coeffs in sorted(self.support.items(), key=lambda kv: kv[0].sort_key())
-        ]
+        return [{"vertex": v.serialize(), "coeffs": list(codes)} for v, codes in self._sorted()]
 
 
 def phi_element(weight: Weight) -> CindElement:
@@ -170,13 +172,6 @@ def _integer_form(g: Mat2):
     of g, and u the inverse mod p of the prime-to-p part of L (the p-part of
     L is central in F^x K)."""
     return (g.A, g.B, g.C, g.D), pow(vp_split(g.L, g.p)[1], -1, g.p)
-
-
-def _vertex_ints(vert: TreeVertex):
-    """(P, X, S) with p^t rep(vert) = [[P, X], [0, S]] over Z and S = p^t the
-    least power of p that makes it integral: the primitive form of rep(vert)."""
-    rep = vert.rep()
-    return rep.A, rep.B, rep.L
 
 
 def _ext_gcd(a: int, b: int):
@@ -256,7 +251,7 @@ def act(g: Mat2, f: CindElement) -> CindElement:
     G, u = _integer_form(g)
     acc = {}
     _translate_into(acc, G, u, f.weight,
-                    ((_vertex_ints(v), codes) for v, codes in f.codes()))
+                    ((v.int_form(), codes) for v, codes in f.support.items()))
     return CindElement.from_codes(f.weight, acc)
 
 
@@ -276,10 +271,7 @@ def _hecke_data(weight: Weight, variant: str = "default"):
         return weight._hecke_cache[key]
     v0, _ = weight.i1_fixed_line()
     ks = _spanning_set(weight, variant)
-    cols = []
-    for k in ks:
-        cols.append([c.code for c in weight.act(k, v0)])
-    S = np.array(cols, dtype=np.int64).T
+    S = np.array([[c.code for c in weight.act(k, v0)] for k in ks], dtype=np.int64).T
     try:
         S_inv = xf.invert_matrix_codes(weight.field, S)
     except ValueError as exc:
@@ -313,8 +305,8 @@ def _hecke_blocks(weight: Weight, variant: str, vertex: TreeVertex) -> dict:
     if blocks is not None:
         return blocks
     ks, S_inv, tphi = _hecke_data(weight, variant)
-    summands = [(_vertex_ints(v), codes) for v, codes in tphi.codes()]
-    P, X, S = _vertex_ints(vertex)
+    summands = [(v.int_form(), codes) for v, codes in tphi.support.items()]
+    P, X, S = vertex.int_form()
     cols = {}
     for j, k in enumerate(ks):
         acc = {}  # k_j is integral, so its L is 1
@@ -351,7 +343,7 @@ def hecke_T(f: CindElement, variant: str = "default") -> CindElement:
     are summed per target vertex."""
     w = f.weight
     out = _hecke_apply(w, variant, {v: np.array(codes, dtype=np.int64)[:, None]
-                                    for v, codes in f.codes()})
+                                    for v, codes in f.support.items()})
     return CindElement.from_codes(w, {v: M[:, 0] for v, M in out.items()})
 
 
@@ -460,30 +452,20 @@ class BallIndex:
     def coords(self, f: CindElement) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.int64)
         d = self.weight.dim
-        for v, coeffs in f.support.items():
+        for v, codes in f.support.items():
             i = self.index.get(v)
             if i is None:
                 raise ValueError(f"support outside ball radius {self.R}: {v}")
-            for j, c in enumerate(coeffs):
-                out[i * d + j] = c.code
+            out[i * d:(i + 1) * d] = codes
         return out
 
     def elem(self, codes) -> CindElement:
         d = self.weight.dim
-        support = {}
-        for i, v in enumerate(self.vertices):
-            chunk = [int(c) for c in codes[i * d : (i + 1) * d]]
-            if any(chunk):
-                support[v] = [self.weight.field.from_code(c) for c in chunk]
-        return CindElement(self.weight, support)
+        return CindElement.from_codes(self.weight, {
+            v: codes[i * d:(i + 1) * d] for i, v in enumerate(self.vertices)})
 
     def basis_elements(self):
-        d = self.weight.dim
-        for v in self.vertices:
-            for j in range(d):
-                coeffs = [0] * d
-                coeffs[j] = 1
-                yield CindElement(self.weight, {v: coeffs})
+        return (self.elem(row) for row in np.eye(self.dim, dtype=np.int64))
 
 
 @lru_cache(maxsize=4096)
@@ -492,7 +474,7 @@ def _parent(vertex: TreeVertex) -> TreeVertex:
     neighbours rep(vertex) [[p, l], [0, 1]] (0 <= l < p) and
     rep(vertex) [[1, 0], [0, p]], the one at distance one less."""
     p, n = vertex.p, vertex.distance() - 1
-    P, X, S = _vertex_ints(vertex)
+    P, X, S = vertex.int_form()
     for A, B, D in [(P * p, P * l + X, S) for l in range(p)] + [(P, X * p, S * p)]:
         nv = _translate(p, 1, A, B, 0, D)[0]
         if nv.distance() == n:
@@ -647,7 +629,7 @@ def quotient_membership(f: CindElement, ideal: HeckeIdeal, R: int,
         raise TruncationError(
             f"truncation too small: radius {R} exceeds R_max={r_max}; raise R_max")
     w = f.weight
-    rest = {v: np.array(codes, dtype=np.int64) for v, codes in f.codes()}
+    rest = {v: np.array(codes, dtype=np.int64) for v, codes in f.support.items()}
     pre = _peel(w, ideal, rest)
     if pre is None:
         return MembershipResult("nonzero", certificate=CindElement.from_codes(w, rest),
@@ -734,7 +716,7 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
         reduce_fn = lambda M: M
     d = weight.dim
     eye = np.eye(ball.dim, dtype=np.int64)
-    vints = [_vertex_ints(x) for x in ball.vertices]
+    vints = [x.int_form() for x in ball.vertices]
 
     def condition_matrix(level):
         # g sends the block of vertex x to the block of g x through the

@@ -393,11 +393,15 @@ def _mul_ops(field: Field, d) -> np.ndarray:
 
 def add(field: Field, a, b) -> np.ndarray:
     """Elementwise a + b on broadcastable code arrays."""
+    if field.k == 1:  # a prime-field code is its own digit
+        return (np.asarray(a, dtype=np.int64) + b) % field.p
     return _codes(field, _digits(field, a) + _digits(field, b))
 
 
 def sub(field: Field, a, b) -> np.ndarray:
     """Elementwise a - b on broadcastable code arrays; sub(field, 0, a) = -a."""
+    if field.k == 1:
+        return (np.asarray(a, dtype=np.int64) - b) % field.p
     return _codes(field, _digits(field, a) - _digits(field, b))
 
 

@@ -421,13 +421,14 @@ class TreeVertex:
     canonical representative [[p^d, a], [0, 1]], with a reduced mod p^d Z_p.
 
     Canonical a: either exactly 0 or c * p^w with w = v(a) < d, 0 < c < p^(d-w)
-    and p coprime to c.
+    and p coprime to c.  The vertex is named by its primitive integer form
+    (P, X, S), see `int_form`: equality compares it.
     """
 
-    __slots__ = ("p", "d", "a", "_hash")
+    __slots__ = ("p", "d", "a", "_hash", "_ints")
 
     def __init__(self, p: int, d: int, a):
-        self._hash = None  # memoised: a vertex is never changed once built
+        self._hash = self._ints = None  # memoised: a vertex is never changed once built
         self.p = p
         self.d = d
         self.a = canonical_mod(PadicRational(p, a), d)
@@ -437,7 +438,7 @@ class TreeVertex:
         """The vertex (d, a) for an a that is already canonical mod p^d, as
         `canonical_mod` would return it; equal to TreeVertex(p, d, a)."""
         out = cls.__new__(cls)
-        out._hash = None
+        out._hash = out._ints = None
         out.p = p
         out.d = d
         out.a = PadicRational(p, a)
@@ -450,18 +451,24 @@ class TreeVertex:
         m, q = a.denominator, p ** max(-d, 0)
         return Mat2.from_ints(p, m * q, p ** max(d, 0) * m, a.numerator * q, 0, m * q)
 
+    def int_form(self):
+        """(P, X, S) with p^t rep(self) = [[P, X], [0, S]] over Z for the least
+        such power S = p^t: rep() in primitive form, computed once."""
+        if self._ints is None:
+            rep = self.rep()
+            self._ints = (rep.A, rep.B, rep.L)
+        return self._ints
+
     def distance(self) -> int:
-        """Tree distance to the base vertex (identity coset)."""
-        if self.a.is_zero():
-            return abs(self.d)
-        return self.d - 2 * min(self.a.valuation, 0)
+        """Tree distance to the base vertex (identity coset): v_p(det) of the
+        primitive integer form [[P, X], [0, S]], whose P and S are powers of p."""
+        P, _, S = self.int_form()
+        return vp_split(P * S, self.p)[0]
 
     def __eq__(self, other):
         if not isinstance(other, TreeVertex):
             return NotImplemented
-        x, y = self.a.frac, other.a.frac
-        return (self.p, self.d, x.numerator, x.denominator) == (
-            other.p, other.d, y.numerator, y.denominator)
+        return self.p == other.p and self.int_form() == other.int_form()
 
     def __hash__(self):
         if self._hash is None:

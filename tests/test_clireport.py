@@ -129,8 +129,11 @@ def test_cli_usage_exit_64(tmp_path):
     assert code == 64 and out == b"" and "usage" in err
     code, _, err = run_inproc("nonsense")
     assert code == 64 and "usage" in err
-    # malformed config files: a list at top level, wrongly typed weight/char
-    for i, content in enumerate(('[1, 2]', '{"weight": 5}', '{"char": [0, null, 1, 1]}')):
+    # malformed config files: a list at top level, wrongly typed weight/char,
+    # and numbers that are not integers (never truncated to one)
+    for i, content in enumerate(('[1, 2]', '{"weight": 5}', '{"char": [0, null, 1, 1]}',
+                                 '{"trials": 2.7}', '{"weight": [1.9, 0]}',
+                                 '{"seed": false}', '{"weight": {"1": 0, "0": 2}}')):
         cfgfile = tmp_path / f"bad{i}.json"
         cfgfile.write_text(content)
         code, out, err = run_inproc("identities", "--trials", "1", "--config", str(cfgfile))
@@ -240,6 +243,9 @@ def test_cli_in_subprocess():
 # `generation` pins (`--p 3 --trials 20` fails on its phi-line trials, exit 2)
 # were recorded while the generation evidence still applied every generator
 # to every word up to the word length, before it grew the span by spin-up.
+# `all --p 5 --trials 20` and `generation --p 2 --trials 10 --sample-radius 1`
+# (both run in CI) were recorded while c-Ind elements still held FieldElem
+# coefficients, before they were held as code tuples.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -279,6 +285,10 @@ REPORT_DIGESTS = {
     ("generation", "--p", "3", "--trials", "4", "--sample-radius", "1",
      "--word-length", "3"):
         (2, "c596b93f226c3a415e48de30e0d35cdb27837796f98ded27d6f88bd9c8c14785"),
+    ("all", "--p", "5", "--trials", "20"):
+        (0, "1b6052776fc2e94b5cec40024395f35478b0db8524ccfa1f55cacd360f0a8937"),
+    ("generation", "--p", "2", "--trials", "10", "--sample-radius", "1"):
+        (0, "41ecfefb667b0560792e1eab59f483e62f9c05d19f248ee85562a7b4fee4b687"),
 }
 
 

@@ -20,7 +20,6 @@ from gl2borel.compactind import (
     _leading_solver,
     _parent,
     _translate,
-    _vertex_ints,
     act,
     ball_vertices,
     hecke_T,
@@ -71,7 +70,7 @@ def test_phi_and_basic_action():
     kphi = act(s_mat(p), phi)
     (vert, coeffs), = kphi.support.items()
     assert vert.distance() == 0
-    assert [c.code for c in coeffs] == [0, 1]  # x -> y under the swap
+    assert coeffs == (0, 1)  # x -> y under the swap
 
 
 def test_action_composition_random():
@@ -232,7 +231,7 @@ def test_i1_fixed_ball_examples():
     phi = phi_element(w)
     # the line is phi
     lead = basis0[0]
-    codes = [c.code for c in list(lead.support.values())[0]]
+    codes = list(lead.support.values())[0]
     nz = next(c for c in codes if c)
     assert (lead.scale(w.field.from_code(nz).inv()) - phi).is_zero()
 
@@ -329,6 +328,90 @@ def test_serialization():
     assert CindElement(w).serialize() == []
 
 
+# ---------------------------------------------------------------------------
+# code-tuple arithmetic against FieldElem tuples
+# ---------------------------------------------------------------------------
+
+# F3, F5, F4 and F9: over the extensions a code >= p names no prime-field residue
+CODE_WEIGHTS = [Weight(3, 1, 0), Weight(5, 2, 1), Weight(2, 1, 0, Field(2, 2)),
+                Weight(3, 1, 1, Field(3, 2))]
+
+
+def _field_support(w, data, R):
+    """{vertex: tuple of FieldElem} on the radius-R ball, zero vectors allowed."""
+    verts = data.draw(st.lists(st.sampled_from(ball_vertices(w.p, R)), max_size=5, unique=True))
+    code = st.integers(0, w.field.size - 1)
+    return {v: tuple(w.field.from_code(data.draw(code)) for _ in range(w.dim)) for v in verts}
+
+
+def _ref_clean(sup):
+    return {v: t for v, t in sup.items() if any(not c.is_zero() for c in t)}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for v, t in b.items():
+        out[v] = tuple(x + y for x, y in zip(out[v], t)) if v in out else t
+    return _ref_clean(out)
+
+
+def _ref_map(a, fn):
+    return _ref_clean({v: tuple(fn(c) for c in t) for v, t in a.items()})
+
+
+def _assert_matches(got, ref):
+    """got (a CindElement) holds the FieldElem reference ref as codes, with
+    no zero vector, and serializes and prints as the reference does."""
+    assert got.support == {v: tuple(c.code for c in t) for v, t in ref.items()}
+    assert all(type(c) is int for t in got.support.values() for c in t)
+    assert all(any(t) for t in got.support.values())
+    items = sorted(ref.items(), key=lambda kv: kv[0].sort_key())
+    assert got.serialize() == [{"vertex": v.serialize(), "coeffs": [c.code for c in t]}
+                               for v, t in items]
+    assert repr(got) == (" + ".join(f"[{v}]*{list(t)}" for v, t in items) or "0")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CODE_WEIGHTS), st.sampled_from([1, 2]), st.data())
+def test_code_arithmetic_matches_field_elements(w, R, data):
+    fld = w.field
+    a = _field_support(w, data, R)
+    b = _field_support(w, data, R)
+    # b cancels a on some of a's vertices
+    for v in (data.draw(st.lists(st.sampled_from(list(a)), unique=True)) if a else []):
+        b[v] = tuple(-c for c in a[v])
+    x = fld.from_code(data.draw(st.integers(0, fld.size - 1)))  # 0 included
+    n = data.draw(st.integers(0, fld.p - 1))  # an int scalar is a prime-field residue
+    f, g = CindElement(w, a), CindElement(w, b)
+    _assert_matches(f, _ref_clean(a))
+    _assert_matches(f + g, _ref_add(a, b))
+    _assert_matches(f - g, _ref_add(a, _ref_map(b, lambda c: -c)))
+    _assert_matches(-f, _ref_map(a, lambda c: -c))
+    _assert_matches(f.scale(x), _ref_map(a, lambda c: c * x))
+    _assert_matches(f.scale(n), _ref_map(a, lambda c: c * n))
+    assert (f - f).is_zero() and (f + g - g) == f
+    assert CindElement.from_codes(w, f.support) == f
+    assert CindElement.from_codes(w, {v: np.array(t) for v, t in f.support.items()}) == f
+    assert f == CindElement.from_codes(w, {v: [c.code for c in t] for v, t in a.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_vertex_integer_form(p):
+    vs = ball_vertices(p, 3)
+    for v in vs:
+        rep = v.rep()
+        assert v.int_form() == (rep.A, rep.B, rep.L)
+        a = v.a.frac
+        assert v.distance() == (abs(v.d) if a == 0 else v.d - 2 * min(v.a.valuation, 0))
+        built, canon = TreeVertex(p, v.d, a), TreeVertex.canonical(p, v.d, a)
+        assert built == canon == v and hash(built) == hash(canon) == hash(v)
+        assert built.int_form() == canon.int_form() == v.int_form()
+        assert hash(v) == hash((p, v.d, v.a))
+        # a non-canonical offset names the same vertex
+        assert TreeVertex(p, v.d, a + Fraction(p) ** v.d) == v
+    assert len({v.int_form() for v in vs}) == len(vs)
+
+
 def test_spanning_error_unreachable_by_construction():
     # the default spanning sets are invertible for every legal weight
     for p in (2, 3, 5):
@@ -349,8 +432,8 @@ def _act_reference(g, f):
         nv, kz = vertex_normalize(g * vert.rep())
         _, k = fxk_factor(kz)
         mat = w.action_matrix(w.reduce_k(k))
-        codes = xf.mat_vec_codes(w.field, mat, [c.code for c in coeffs])
-        out = out + CindElement(w, {nv: [w.field.from_code(int(c)) for c in codes]})
+        codes = xf.mat_vec_codes(w.field, mat, coeffs)
+        out = out + CindElement.from_codes(w, {nv: codes})
     return out
 
 
@@ -380,7 +463,7 @@ def _integer_translation(g, vert, cached=True):
     """(v', residue matrix) of g rep(vert) as act computes it: the integer
     forms of g and of the vertex, multiplied, then `_translate`."""
     (A, B, C, D), u = _integer_form(g)
-    P, X, S = _vertex_ints(vert)
+    P, X, S = vert.int_form()
     translate = _translate if cached else _translate.__wrapped__
     return translate(g.p, u, A * P, A * X + B * S, C * P, C * X + D * S)
 
@@ -504,7 +587,7 @@ def _hecke_T_termwise(f, variant="default"):
     ks, S_inv, tphi = _hecke_data(w, variant)
     out = CindElement(w)
     for vert, coeffs in f.support.items():
-        a = xf.mat_vec_codes(w.field, S_inv, [c.code for c in coeffs])
+        a = xf.mat_vec_codes(w.field, S_inv, coeffs)
         for j, aj in enumerate(a):
             if aj:
                 out = out + act(vert.rep() * ks[j], tphi).scale(w.field.from_code(int(aj)))
@@ -519,7 +602,7 @@ def test_hecke_T_matches_termwise_sum(w):
             f = _random_element(w, rng)
             Tf = hecke_T(f, variant)
             assert Tf == _hecke_T_termwise(f, variant)
-            assert all(any(not c.is_zero() for c in cs) for cs in Tf.support.values())
+            assert all(any(cs) for cs in Tf.support.values())
     # cancelling summands leave no zero vector behind
     phi = phi_element(w)
     assert hecke_T(phi - phi).is_zero()
