@@ -1,11 +1,15 @@
 """Experiment drivers that execute the constructive arguments end-to-end on
 the concrete models and re-verify every claimed postcondition from scratch.
 
-Two models are wrapped behind one small vector interface (act / zero test /
-linear frames): compact-induction quotients and finite-level principal
-series.  Each driver returns a plain report dict listing per-step outcomes;
-any exact comparison that fails flips the step to "fail" rather than raising,
-so reports stay honest under truncation limits.
+CindModel (compact-induction quotients) and PSModel (finite-level principal
+series) share one vector interface: p, field, describe(), act(g, v),
+scale(c, v), zero_vector(), random_vector(rng, size), is_zero(v) and
+equal(v1, v2) (exact, in the quotient for an ideal), hecke_sum(v) (the sum
+of u(lam) t v over lam in F_p), frame(vectors) (a coordinate chart) and
+level_hint(vectors).  The drivers build their sums with combine,
+torus_average and twisted_sum.  Each driver returns a plain report dict
+listing per-step outcomes; any exact comparison that fails flips the step to
+"fail" rather than raising, so reports stay honest under truncation limits.
 """
 
 from __future__ import annotations
@@ -61,9 +65,6 @@ class CindModel:
     def act(self, g: Mat2, v):
         return ci.act(g, v)
 
-    def sub(self, v1, v2):
-        return v1 - v2
-
     def scale(self, c, v):
         return v.scale(c)
 
@@ -101,8 +102,7 @@ class CindModel:
         return out
 
     def frame(self, vectors):
-        radius = max([v.radius() for v in vectors if not v.is_zero()] + [0])
-        return self._frame_at(radius)
+        return self._frame_at(self.level_hint(vectors) - 1)
 
     def _frame_at(self, radius: int):
         if radius in self._frames:
@@ -141,9 +141,6 @@ class PSModel:
 
     def act(self, g: Mat2, v):
         return compress(ps.ps_act(g, v))
-
-    def sub(self, v1, v2):
-        return v1 - v2
 
     def scale(self, c, v):
         return v.scale(c)
@@ -235,7 +232,44 @@ class _Frame:
 # span utilities
 # ---------------------------------------------------------------------------
 
-def span_closure(model, seeds, gens, max_rounds: int = 40, with_words: bool = False):
+def combine(model, terms):
+    """The sum of c v over the (code, vector) pairs with c nonzero, in order;
+    the zero vector when there is none."""
+    out = None
+    for c, v in terms:
+        if c:
+            term = model.scale(model.field.from_code(int(c)), v)
+            out = term if out is None else out + term
+    return model.zero_vector() if out is None else out
+
+
+def torus_average(model, v, exps):
+    """Sum over lam, mu in F_p^x of (lam^e1 mu^e2)^-1 diag(lam, mu) v: the
+    component of v on which the Iwahori torus acts by the character with
+    exponents exps = (e1, e2) ((p - 1)^2 = 1 mod p, so no normalizing
+    factor).  At p = 2 the torus residue is trivial and the average is v."""
+    p, field = model.p, model.field
+    if p == 2:
+        return v
+    e1, e2 = exps
+    return combine(model, (
+        ((field.from_int(lam) ** e1 * field.from_int(mu) ** e2).inv().code,
+         model.act(diag(p, lam, mu), v))
+        for lam in range(1, p) for mu in range(1, p)))
+
+
+def twisted_sum(model, v, j):
+    """Sum over lam in F_p of lam^j u(lam) t v, with 0^0 = 1: the plain
+    unipotent sum model.hecke_sum(v) at j = 0."""
+    if j == 0:
+        return model.hecke_sum(v)
+    p, field = model.p, model.field
+    return combine(model, (((field.from_int(lam) ** j).code,
+                            model.act(upper_u(p, lam) * t_mat(p), v))
+                           for lam in range(1, p)))
+
+
+def span_closure(model, seeds, gens, with_words: bool = False):
     """Smallest subspace containing the seeds and closed under the given
     group elements (which must preserve the seeds' radius/level).
 
@@ -250,7 +284,7 @@ def span_closure(model, seeds, gens, max_rounds: int = 40, with_words: bool = Fa
     for v in basis:
         span.add(frame.vec(v))
     frontier = list(zip(basis, words))
-    for _ in range(max_rounds):
+    for _ in range(40):  # safety bound on the rounds of growth
         new = []
         for g in gens:
             for v, word in frontier:
@@ -267,8 +301,9 @@ def span_closure(model, seeds, gens, max_rounds: int = 40, with_words: bool = Fa
     raise RuntimeError("span closure did not stabilize")
 
 
-def solve_fixed_in_span(model, span_vectors, gens, with_coeffs: bool = False):
-    """Vectors of the span fixed by every generator, as model vectors."""
+def solve_fixed_in_span(model, span_vectors, gens):
+    """Vectors of the span fixed by every generator, as (model vector, code
+    row of its coefficients on span_vectors) pairs."""
     if not span_vectors:
         return []
     frame = model.frame(span_vectors)
@@ -280,13 +315,9 @@ def solve_fixed_in_span(model, span_vectors, gens, with_coeffs: bool = False):
     kern = xf.kernel_codes(model.field, np.concatenate(blocks))
     out = []
     for row in kern:
-        v = None
-        for c, b in zip(row, span_vectors):
-            if c:
-                term = model.scale(model.field.from_code(int(c)), b)
-                v = term if v is None else v + term
-        if v is not None and not model.is_zero(v):
-            out.append((v, row) if with_coeffs else v)
+        v = combine(model, zip(row, span_vectors))
+        if not model.is_zero(v):
+            out.append((v, row))
     return out
 
 
@@ -331,18 +362,12 @@ def k_span_module(model, v):
             if not model.equal(model.act(k1g, b), b):
                 raise RuntimeError("K-span is not trivial under K_1")
     frame = model.frame(span)
-    solver = xf.CachedSolver(model.field, frame.matrix(span).T)
-    gens = {}
-    for name, g in named.items():
-        img = frame.matrix([model.act(g, b) for b in span])
-        cols = []
-        for row in img:
-            x, cert = solver.solve(row)
-            if cert is not None:
-                raise RuntimeError("K-span closure failure")
-            cols.append(x)
-        gens[name] = np.array(cols, dtype=np.int64).T
-    mod = FiniteKModule(model.field, len(span), gens,
+    images = [frame.matrix([model.act(g, b) for b in span]) for g in named.values()]
+    try:
+        mats = xf.basis_coordinates(model.field, frame.matrix(span), images)
+    except ValueError:
+        raise RuntimeError("K-span closure failure") from None
+    mod = FiniteKModule(model.field, len(span), dict(zip(named, mats)),
                         provenance=f"K-span inside {model.describe()}")
     return mod, span
 
@@ -358,17 +383,17 @@ def m_lambda_matrices(p: int):
     ]
 
 
-def i1_fixed_check(model, v, level: int | None = None) -> bool:
-    level = level or model.level_hint([v]) + 1
-    return all(model.equal(model.act(g, v), v) for g in ci.i1_generators(model.p, level))
+def i1_fixed_check(model, v) -> bool:
+    gens = ci.i1_generators(model.p, model.level_hint([v]) + 1)
+    return all(model.equal(model.act(g, v), v) for g in gens)
 
 
-def prop_give(model, w, max_k: int = 6):
+def prop_give(model, w):
     """Produce a nonzero I1-fixed vector with irreducible K-span inside the
     P-span of w, following the constructive steps; the report carries the
     P-translates whose span certifiably contains the output."""
     p = model.p
-    field = model.field
+    max_k = 6  # the largest smoothing exponent tried
     report = {"model": model.describe(), "steps": [], "status": "pass"}
 
     def step(name, ok, detail=""):
@@ -419,7 +444,7 @@ def prop_give(model, w, max_k: int = 6):
     level = model.level_hint([w1]) + 1
     span_gens = i1p_generators(p, level)
     span, span_words = span_closure(model, [w1], span_gens, with_words=True)
-    fixed = solve_fixed_in_span(model, span, ci.i1_generators(p, level), with_coeffs=True)
+    fixed = solve_fixed_in_span(model, span, ci.i1_generators(p, level))
     if not step("I1-fixed vector in span", bool(fixed), f"span dim {len(span)}"):
         return report
     w2, w2_coeffs = fixed[0]
@@ -430,15 +455,7 @@ def prop_give(model, w, max_k: int = 6):
     char = None
     for i1 in range(n):
         for i2 in range(n):
-            if p == 2:
-                cand = w2
-            else:
-                cand = None
-                for lam in range(1, p):
-                    for mu in range(1, p):
-                        c = (field.from_int(lam) ** i1 * field.from_int(mu) ** i2).inv()
-                        term = model.scale(c, model.act(diag(p, lam, mu), w2))
-                        cand = term if cand is None else cand + term
+            cand = torus_average(model, w2, (i1, i2))
             if not model.is_zero(cand):
                 w3 = cand
                 char = (i1, i2)
@@ -483,43 +500,19 @@ def prop_give(model, w, max_k: int = 6):
 
 def _verify_translate_certificate(model, w, k, span_words, w2_coeffs, w2,
                                   char, w3, j, wj):
-    """Rebuild the pipeline output stage by stage from the recorded words,
-    entirely by P-translations of the starting vector."""
+    """Certify that wj lies in the span of the recorded P-translates
+    u(lam) t d word t^k of w: w2 is rebuilt from the recorded words and
+    coefficients alone, and w3 and wj are re-evaluated with the same
+    torus_average and twisted_sum as the pipeline; each stage must match."""
     p = model.p
-    field = model.field
     tk = t_mat(p) ** k
     w1 = model.act(tk, w)
 
-    rebuilt_w2 = None
-    for c, word in zip(w2_coeffs, span_words):
-        if c:
-            term = model.scale(field.from_code(int(c)), model.act(word, w1))
-            rebuilt_w2 = term if rebuilt_w2 is None else rebuilt_w2 + term
-    ok = rebuilt_w2 is not None and model.equal(rebuilt_w2, w2)
-
-    i1e, i2e = char
-    if p == 2:
-        rebuilt_w3 = w2
-    else:
-        rebuilt_w3 = None
-        for lam in range(1, p):
-            for mu in range(1, p):
-                c = (field.from_int(lam) ** i1e * field.from_int(mu) ** i2e).inv()
-                term = model.scale(c, model.act(diag(p, lam, mu), w2))
-                rebuilt_w3 = term if rebuilt_w3 is None else rebuilt_w3 + term
-    ok = ok and model.equal(rebuilt_w3, w3)
-
-    rebuilt_wj = None
-    for lam in range(p):
-        if j == 0:
-            c = field.one()
-        elif lam == 0:
-            continue
-        else:
-            c = field.from_int(lam) ** j
-        term = model.scale(c, model.act(upper_u(p, lam) * t_mat(p), w3))
-        rebuilt_wj = term if rebuilt_wj is None else rebuilt_wj + term
-    ok = ok and model.equal(rebuilt_wj, wj)
+    rebuilt_w2 = combine(model, ((c, model.act(word, w1))
+                                 for c, word in zip(w2_coeffs, span_words) if c))
+    ok = (model.equal(rebuilt_w2, w2)
+          and model.equal(torus_average(model, w2, char), w3)
+          and model.equal(twisted_sum(model, w3, j), wj))
 
     # u(lam) t d word t^k, as one product of a prefix u(lam) t d and a
     # suffix word t^k
@@ -552,7 +545,6 @@ def lemma_next(model, v, char_exps):
     """First j in 0..p-1 whose twisted sum is nonzero with irreducible
     K-span; mirrors the proof's case split on the plain sum."""
     p = model.p
-    field = model.field
     if model.is_zero(v):
         raise ValueError("vector is zero")
     if not _acts_by_character(model, v, char_exps):
@@ -560,15 +552,8 @@ def lemma_next(model, v, char_exps):
     w0 = model.hecke_sum(v)
     branch = "w0=0" if model.is_zero(w0) else "w0!=0"
     for j in range(p):
-        if j == 0:
-            wj = w0
-        else:
-            wj = None
-            for lam in range(1, p):
-                c = field.from_int(lam) ** j
-                term = model.scale(c, model.act(upper_u(p, lam) * t_mat(p), v))
-                wj = term if wj is None else wj + term
-        if wj is None or model.is_zero(wj):
+        wj = w0 if j == 0 else twisted_sum(model, v, j)
+        if model.is_zero(wj):
             continue
         mod, _ = k_span_module(model, wj)
         verdict = is_irreducible(mod)
@@ -625,11 +610,8 @@ def lemma_s_check(model, v):
     if not model.is_zero(model.hecke_sum(v)):
         raise ValueError("hypothesis violated: unipotent sum is nonzero")
     lhs = model.act(s_mat(p), v)
-    rhs = None
-    for mat in m_lambda_matrices(p):
-        term = model.act(mat, v)
-        rhs = term if rhs is None else rhs + term
-    rhs = model.scale(model.field.from_int(-1), rhs)
+    minus_one = model.field.from_int(-1).code
+    rhs = combine(model, ((minus_one, model.act(mat, v)) for mat in m_lambda_matrices(p)))
     ok = model.equal(lhs, rhs)
     return {"model": model.describe(), "status": "pass" if ok else "fail",
             "detail": "s v equals the negated sum of [[-p/l,1],[0,l/p]] translates"
@@ -826,17 +808,17 @@ def p_eigenvector_space(chi: TorusCharacter, value_of, level: int = 2,
     return [ps.PSFunction(chi, level, row, n_max) for row in kern]
 
 
-def hom_case_char_rigidity(p: int = 2, level: int = 2):
-    """The only P-eigenvectors of the trivial character inside the trivial
-    principal series are the constants, which are genuinely G-fixed."""
+def hom_case_char_rigidity(p: int = 2):
+    """The only level-2 P-eigenvectors of the trivial character inside the
+    trivial principal series are the constants, which are genuinely G-fixed."""
     chi = TorusCharacter.trivial(Weight(p, 0, 0).field)
     checks = _Checks()
-    sols = p_eigenvector_space(chi, lambda g: chi.field.one(), level)
+    sols = p_eigenvector_space(chi, lambda g: chi.field.one())
     checks.add("eigenvector space is one line", len(sols) == 1, f"dim {len(sols)}")
     if sols:
         f = sols[0]
         spl = ps.DetSplitting(chi)
-        const = spl.det_function(level)
+        const = spl.det_function(f.level)
         cc = proportionality(PSModel(chi), const, f)
         checks.add("the line is the constants", cc is not None)
         model = PSModel(chi)
@@ -847,7 +829,7 @@ def hom_case_char_rigidity(p: int = 2, level: int = 2):
             "status": checks.status()}
 
 
-def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
+def hom_case_princ_endo(chi: TorusCharacter):
     """Level-2 P-intertwiners of Ind(chi) that extend compatibly to level 3
     (through refinement and both t-translations) form exactly the scalars.
 
@@ -866,18 +848,18 @@ def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
     checks = _Checks()
     lvl2_gens = [upper_u(p, 1)] + [diag(p, u, 1) for u in range(2, p)] + [
         diag(p, 1, u) for u in range(2, p)]
-    Ref = ps.refine_matrix(chi, 2, 3, n_max)
-    S = np.concatenate([Ref, ps.action_matrix(chi, t_mat(p), 2, n_max),
-                        ps.action_matrix(chi, t_mat(p).inv(), 2, n_max)], axis=1)
+    Ref = ps.refine_matrix(chi, 2, 3)
+    S = np.concatenate([Ref, ps.action_matrix(chi, t_mat(p), 2),
+                        ps.action_matrix(chi, t_mat(p).inv(), 2)], axis=1)
     dim3, dim2 = Ref.shape
 
     M2_basis = xf.monomial_commutant(
-        field, [ps.action_table(chi, g, 2, n_max) for g in lvl2_gens], dim2)
+        field, [ps.action_table(chi, g, 2) for g in lvl2_gens], dim2)
     s_dim = len(M2_basis)
     checks.add("level-2 commutant computed", True, f"dim {s_dim}")
 
     C_basis = xf.monomial_commutant(
-        field, [ps.action_table(chi, g, 3, n_max) for g in lvl2_gens], dim3)
+        field, [ps.action_table(chi, g, 3) for g in lvl2_gens], dim3)
     eye3 = np.eye(3, dtype=np.int64)
     cols = [xf.sub(field, 0, xf.mat_mul_codes(field, S, np.kron(eye3, M2))).ravel()
             for M2 in M2_basis]
@@ -897,7 +879,7 @@ def hom_case_princ_endo(chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
             "status": checks.status()}
 
 
-def hom_transfer_suite(case: str, p: int = 3, chi: TorusCharacter | None = None):
+def hom_transfer_suite(case: str, p: int = 3):
     if case == "supersingular":
         return hom_case_supersingular(p)
     if case == "sp_to_ind":
@@ -905,9 +887,7 @@ def hom_transfer_suite(case: str, p: int = 3, chi: TorusCharacter | None = None)
     if case == "char_rigidity":
         return hom_case_char_rigidity(p)
     if case == "princ_endo":
-        if chi is None:
-            chi = default_asymmetric_character(p)
-        return hom_case_princ_endo(chi)
+        return hom_case_princ_endo(default_asymmetric_character(p))
     raise ValueError(f"unknown case {case!r}")
 
 

@@ -367,9 +367,8 @@ def suite_hecke(cfg: RunConfig):
     for m in range(max(p - 1, 1))[:2]:
         w0 = Weight(p, 0, m)
         phi0 = ci.phi_element(w0)
-        direct = ci.act(pi_mat(p), phi0).scale(w0.field.from_int((-1) ** m))
-        for lam in range(p):
-            direct = direct + ci.act(upper_u(p, lam) * t_mat(p), phi0)
+        direct = (ci.act(pi_mat(p), phi0).scale(w0.field.from_int((-1) ** m))
+                  + bl.CindModel(w0).hecke_sum(phi0))
         ok = ci.hecke_T(phi0) == direct
         out.append(check(f"lemma-T-character-m{m}", ok,
                          "pinned value with translate of Pi present (sign psi(-1))",
@@ -378,10 +377,7 @@ def suite_hecke(cfg: RunConfig):
     w = cfg.the_weight() if cfg.weight[0] >= 1 else Weight(p, 1, 0)
     phi = ci.phi_element(w)
     tphi = ci.hecke_T(phi)
-    direct = ci.CindElement(w)
-    for lam in range(p):
-        direct = direct + ci.act(upper_u(p, lam) * t_mat(p), phi)
-    ok = tphi == direct and tphi.radius() == 1
+    ok = tphi == bl.CindModel(w).hecke_sum(phi) and tphi.radius() == 1
     ok = ok and not any(v.distance() == 0 for v in tphi.support)
     out.append(check("lemma-T-noncharacter", ok,
                      f"{w!r}: no base term, radius 1", cert))
@@ -512,18 +508,12 @@ def suite_lemma_s(cfg: RunConfig):
 def _ps_hecke_kernel_vector(psm, inv_basis):
     """A nonzero I1-fixed vector killed by the unipotent sum, by solving on
     the invariant basis."""
-    field = psm.field
     sums = [psm.hecke_sum(v) for v in inv_basis]
     frame = psm.frame(inv_basis + sums)
-    A1 = frame.matrix(sums)
-    kern = xf.kernel_codes(field, A1.T)
+    kern = xf.kernel_codes(psm.field, frame.matrix(sums).T)
     for row in kern:
-        v = None
-        for c, b in zip(row, inv_basis):
-            if c:
-                term = psm.scale(field.from_code(int(c)), b)
-                v = term if v is None else v + term
-        if v is not None and not v.is_zero():
+        v = bl.combine(psm, zip(row, inv_basis))
+        if not v.is_zero():
             return v
     return None
 

@@ -535,11 +535,8 @@ def _leading_solver(weight: Weight, ideal: HeckeIdeal, x: TreeVertex) -> xf.Cach
 
 def ideal_matrix(weight: Weight, ideal: HeckeIdeal, R: int):
     """Matrix of ideal(T): ball(R) -> ball(R + deg), columns over the ball
-    basis; memoized on the weight.  Column block x (the dim columns of one
-    inner vertex) is P(T)'s block column at x from `_ideal_column`."""
-    key = ("idealmat", ideal.key, R)
-    if key in weight._hecke_cache:
-        return weight._hecke_cache[key]
+    basis.  Column block x (the dim columns of one inner vertex) is P(T)'s
+    block column at x from `_ideal_column`."""
     inner = BallIndex(weight, R)
     outer = BallIndex(weight, R + ideal.degree)
     d = weight.dim
@@ -549,7 +546,6 @@ def ideal_matrix(weight: Weight, ideal: HeckeIdeal, R: int):
         for k, v in enumerate(verts):
             j = outer.index[v]
             A[j * d:(j + 1) * d, i * d:(i + 1) * d] = stack[k * d:(k + 1) * d]
-    weight._hecke_cache[key] = (A, inner, outer)
     return A, inner, outer
 
 
@@ -638,32 +634,6 @@ def quotient_membership(f: CindElement, ideal: HeckeIdeal, R: int,
     if not (ideal.apply(h) - f).is_zero():
         raise RuntimeError("solver returned an invalid preimage")
     return MembershipResult("zero", preimage=h, certified_radius=R)
-
-
-class QuotientElement:
-    """A class in c-Ind / ideal(T), held as an explicit representative."""
-
-    def __init__(self, rep: CindElement, ideal: HeckeIdeal, r_max: int = DEFAULT_R_MAX):
-        self.rep = rep
-        self.ideal = ideal
-        self.r_max = r_max
-
-    def is_zero(self) -> bool:
-        if self.rep.is_zero():
-            return True
-        return quotient_membership(
-            self.rep, self.ideal, self.rep.radius(), self.r_max).status == "zero"
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        return QuotientElement(self.rep - other.rep, self.ideal, self.r_max).is_zero()
-
-    def act(self, g: Mat2) -> "QuotientElement":
-        return QuotientElement(act(g, self.rep), self.ideal, self.r_max)
-
-    def hecke(self) -> "QuotientElement":
-        return QuotientElement(hecke_T(self.rep), self.ideal, self.r_max)
 
 
 # ---------------------------------------------------------------------------

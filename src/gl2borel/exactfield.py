@@ -610,6 +610,24 @@ class CachedSolver:
         return _kernel_rows(self.field, self.R, self.pivots, self.n)
 
 
+def basis_coordinates(field: Field, basis_rows: np.ndarray, images) -> list:
+    """For each matrix in images, whose rows lie in the span of basis_rows,
+    the matrix whose columns are those rows' coordinates in that basis; one
+    factorization serves every image.  Raises ValueError("subspace not
+    stable") at the first row outside the span."""
+    solver = CachedSolver(field, np.asarray(basis_rows, dtype=np.int64).T)
+    out = []
+    for img in images:
+        cols = []
+        for row in img:
+            x, cert = solver.solve(row)
+            if cert is not None:
+                raise ValueError("subspace not stable")
+            cols.append(x)
+        out.append(np.array(cols, dtype=np.int64).T)
+    return out
+
+
 class IncrementalSpan:
     """A subspace kept in reduced echelon form: seeded with one rref of
     `rows`, then grown one vector at a time by add.  The rows are in the
@@ -666,9 +684,10 @@ def matrix_relation_kernel(field: Field, pairs, dim_in: int, dim_out: int):
 
 
 @lru_cache(maxsize=None)
-def _exp_log(p: int, modulus):
-    """exp[e] = g^e (e < q - 1) for a primitive element g of F_q^*, and log
-    with log[exp[e]] = e, for F_q = F_p[x]/(modulus)."""
+def exp_log(p: int, modulus):
+    """exp[e] = g^e (e < q - 1) for the first primitive element g of F_q^*
+    in code order, and log with log[exp[e]] = e, for F_q = F_p[x]/(modulus).
+    Over F_p (modulus (0, 1)) g is the least primitive root, 1 at p = 2."""
     field = Field(p, len(modulus) - 1, modulus)
     for g in range(1, field.size):
         exp = [1]
@@ -677,7 +696,9 @@ def _exp_log(p: int, modulus):
         if len(exp) == field.size - 1:
             log = np.zeros(field.size, dtype=np.int64)
             log[exp] = np.arange(len(exp))
-            return np.array(exp, dtype=np.int64), log
+            exp = np.array(exp, dtype=np.int64)
+            exp.flags.writeable = log.flags.writeable = False  # shared by every caller
+            return exp, log
 
 
 def monomial_commutant(field: Field, tables, n: int):
@@ -694,7 +715,7 @@ def monomial_commutant(field: Field, tables, n: int):
     Dedicata 4, 1975).  Labels are discrete logarithms mod q - 1, so the
     search multiplies no field codes."""
     order = field.size - 1
-    exp, log = _exp_log(field.p, field.modulus)
+    exp, log = exp_log(field.p, field.modulus)
     moves = []  # per map: where pair i n + l goes, and the log of its label
     for src, coef in tables:
         src, coef = np.asarray(src, dtype=np.int64), np.asarray(coef, dtype=np.int64)

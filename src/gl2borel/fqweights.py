@@ -20,27 +20,10 @@ from .padicmat import Mat2, PadicRational, in_subgroup, vp_split
 
 
 def primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = {1}
-        x = 1
-        for _ in range(p - 2):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError("no primitive root")  # unreachable for prime p
-
-
-def dlog(p: int, g: int, a: int) -> int:
-    """Discrete log base g in F_p^x by enumeration (p <= 13)."""
-    x = 1
-    for e in range(p - 1):
-        if x == a % p:
-            return e
-        x = x * g % p
-    raise ValueError(f"{a} is not a power of {g} mod {p}")
+    """The least primitive root mod p (1 at p = 2), read off the cached
+    exp/log table of F_p."""
+    exp, _ = xf.exp_log(p, (0, 1))
+    return int(exp[1 % (p - 1)])
 
 
 class Weight:
@@ -128,7 +111,7 @@ class Weight:
         return ((k.A * u % p, k.B * u % p), (k.C * u % p, k.D * u % p))
 
     def act(self, k: Mat2, vec) -> list:
-        """weight_action: apply k in K to a coefficient vector."""
+        """Apply k in K to a coefficient vector."""
         codes = self._vec_codes(vec)
         out = xf.mat_vec_codes(self.field, self.residue_action(self.reduce_k(k)), codes)
         return [self.field.from_code(int(c)) for c in out]
@@ -159,14 +142,12 @@ class Weight:
 
     def _eigen_exponent(self, gbar, v0) -> int:
         p = self.p
-        if p == 2:
-            return 0
         out = xf.mat_vec_codes(self.field, self.action_matrix(gbar), v0)
         nz = int(np.nonzero(v0)[0][0])
         lam = self.field.mul_codes(int(out[nz]), self.field.inv_code(int(v0[nz])))
         if not np.array_equal(out, xf.mul(self.field, v0, lam)):
             raise RuntimeError("weight model broken: torus not scalar on fixed line")
-        return dlog(p, primitive_root(p), lam)
+        return int(xf.exp_log(p, (0, 1))[1][lam])
 
     def k_module(self) -> "FiniteKModule":
         gens = {
@@ -175,14 +156,6 @@ class Weight:
         }
         return FiniteKModule(self.field, self.dim, gens,
                              provenance=f"weight {self!r} on GL2(F_{self.p}) generators")
-
-
-def weight_action(w: Weight, k: Mat2, v) -> list:
-    return w.act(k, v)
-
-
-def i1_fixed_line(w: Weight):
-    return w.i1_fixed_line()
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +398,12 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
 
     # restrict the torus generators to the U-fixed space
     d1, d2 = _restrict(field, [mod.gens["dg1"], mod.gens["d1g"]], ufix)
-    g = field.from_int(primitive_root(p)) if p > 2 else field.one()
+    g = field.from_int(primitive_root(p))
     wdim = ufix.shape[0]
     weye = np.eye(wdim, dtype=np.int64)
 
     lines = []
-    exps = range(p - 1) if p > 2 else range(1)
+    exps = range(max(p - 1, 1))
     for e1 in exps:
         for e2 in exps:
             lam1 = (g**e1).code
@@ -467,18 +440,8 @@ def is_irreducible(mod: FiniteKModule) -> IrreducibilityVerdict:
 
 def _restrict(field, mats, basis_rows):
     """Matrices of mats on the subspace spanned by basis_rows (must be stable)."""
-    solver = xf.CachedSolver(field, basis_rows.T)
-    out = []
-    for A in mats:
-        img = xf.mat_mul_codes(field, basis_rows, A.T)  # rows = images
-        cols = []
-        for row in img:
-            x, cert = solver.solve(row)
-            if cert is not None:
-                raise ValueError("subspace not stable")
-            cols.append(x)
-        out.append(np.array(cols, dtype=np.int64).T)
-    return out
+    return xf.basis_coordinates(
+        field, basis_rows, (xf.mat_mul_codes(field, basis_rows, A.T) for A in mats))
 
 
 def _enumerate_lines(field, basis_rows):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2borel import exactfield as xf
+from gl2borel.borellab import CindModel
 from gl2borel.compactind import (
     BallIndex,
     CindElement,
     HeckeIdeal,
-    QuotientElement,
     TruncationError,
     _hecke_blocks,
     _hecke_data,
@@ -215,12 +215,10 @@ def test_quotient_element_equality():
     w = Weight(p, 1, 0)
     phi = phi_element(w)
     ideal = HeckeIdeal.parse(w.field, "T")
-    q1 = QuotientElement(hecke_T(phi), ideal)
-    assert q1.is_zero()
-    q2 = QuotientElement(phi, ideal)
-    assert not q2.is_zero()
-    shifted = QuotientElement(phi + hecke_T(phi), ideal)
-    assert q2 == shifted
+    model = CindModel(w, ideal)
+    assert model.is_zero(hecke_T(phi))
+    assert not model.is_zero(phi)
+    assert model.equal(phi, phi + hecke_T(phi))
 
 
 def test_i1_fixed_ball_examples():
@@ -256,12 +254,13 @@ def test_i1_fixed_ball_quotient():
     total = CindElement(w)
     for lam in range(p):
         total = total + act(upper_u(p, lam) * t_mat(p), phi)
-    assert QuotientElement(total, ideal).is_zero()
+    model = CindModel(w, ideal)
+    assert model.is_zero(total)
     basis = i1_fixed_ball(w, 1, ideal)
     ball = BallIndex(w, 1)
     from gl2borel.exactfield import IncrementalSpan
     # in the quotient the fixed space at radius 1 still contains phi
-    assert any(not QuotientElement(b, ideal).is_zero() for b in basis)
+    assert any(not model.is_zero(b) for b in basis)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -310,13 +309,14 @@ def test_quotient_equality_is_equivalence():
     w = Weight(p, 1, 0)
     phi = phi_element(w)
     ideal = HeckeIdeal.parse(w.field, "T")
-    a = QuotientElement(phi, ideal)
-    b = QuotientElement(phi + hecke_T(phi), ideal)
-    c = QuotientElement(phi + hecke_T(act(t_mat(p), phi)).scale(2), ideal)
-    assert a.rep != b.rep and b.rep != c.rep
-    assert a == a
-    assert a == b and b == a
-    assert b == c and a == c
+    model = CindModel(w, ideal)
+    a = phi
+    b = phi + hecke_T(phi)
+    c = phi + hecke_T(act(t_mat(p), phi)).scale(2)
+    assert a != b and b != c
+    assert model.equal(a, a)
+    assert model.equal(a, b) and model.equal(b, a)
+    assert model.equal(b, c) and model.equal(a, c)
 
 
 def test_serialization():

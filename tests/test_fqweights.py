@@ -13,7 +13,6 @@ from gl2borel.fqweights import (
     iwahori_w0_vector,
     primitive_root,
     restrict_module,
-    weight_action,
 )
 from gl2borel.padicmat import Mat2, diag, lower_u, s_mat, upper_u
 
@@ -29,14 +28,14 @@ def test_weight_parameter_validation():
 def test_identity_and_swap():
     w = Weight(3, 1, 0)
     v = [w.field.el(1), w.field.el(2)]
-    assert weight_action(w, Mat2.identity(3), v) == v
-    out = weight_action(w, s_mat(3), [w.field.el(1), w.field.el(0)])
+    assert w.act(Mat2.identity(3), v) == v
+    out = w.act(s_mat(3), [w.field.el(1), w.field.el(0)])
     assert [x.code for x in out] == [0, 1]
 
 
 def test_det_character_action():
     w = Weight(5, 0, 2)
-    out = weight_action(w, diag(5, 2, 2), [w.field.one()])
+    out = w.act(diag(5, 2, 2), [w.field.one()])
     assert out[0].code == pow(4, 2, 5)
 
 
@@ -44,7 +43,7 @@ def test_not_integral_rejected():
     w = Weight(3, 1, 0)
     from fractions import Fraction
     with pytest.raises(ValueError, match="not integral"):
-        weight_action(w, upper_u(3, Fraction(1, 3)), [w.field.one(), w.field.zero()])
+        w.act(upper_u(3, Fraction(1, 3)), [w.field.one(), w.field.zero()])
 
 
 def test_central_p_power_trivial_via_reduction():
@@ -52,7 +51,7 @@ def test_central_p_power_trivial_via_reduction():
     # unit scalars act through det^m
     w = Weight(3, 1, 1)
     v = [w.field.el(1), w.field.el(1)]
-    out = weight_action(w, diag(3, 2, 2), v)
+    out = w.act(diag(3, 2, 2), v)
     scalar = w.field.from_int(2 * 2) * w.field.from_int(2)  # det^m * Sym^1 scaling
     assert out == [scalar * x for x in v]
 
