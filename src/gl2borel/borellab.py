@@ -27,8 +27,9 @@ from .fqweights import (
     Weight,
     is_irreducible,
     primitive_root,
+    standard_k_residue_gens,
 )
-from .padicmat import Mat2, diag, lower_u, pi_mat, s_mat, t_mat, upper_u
+from .padicmat import Mat2, diag, in_subgroup, lower_u, pi_mat, s_mat, t_mat, upper_u
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +182,6 @@ class PSModel:
 
     def level_hint(self, vectors) -> int:
         return max([v.level for v in vectors] + [1])
-
-
-def i1p_generators(p: int, level: int) -> list:
-    """Generators of the pro-p Iwahori intersected with P, modulo the level."""
-    gens = [upper_u(p, 1)]
-    for u in ci.one_mod_p_unit_gens(p, level):
-        gens.append(diag(p, u, 1))
-        gens.append(diag(p, 1, u))
-    return gens
 
 
 def compress(f: ps.PSFunction) -> ps.PSFunction:
@@ -348,14 +340,8 @@ def k_span_module(model, v):
     Requires (and verifies) that the principal congruence subgroup acts
     trivially on the span, which holds whenever v is pro-p-Iwahori fixed."""
     p = model.p
-    g0 = primitive_root(p)
-    named = {
-        "u1": upper_u(p, 1),
-        "l1": lower_u(p, 1),
-        "s": s_mat(p),
-        "dg1": diag(p, g0, 1),
-        "d1g": diag(p, 1, g0),
-    }
+    named = {name: Mat2(p, a, b, c, d)
+             for name, ((a, b), (c, d)) in standard_k_residue_gens(p).items()}
     span = span_closure(model, [v], list(named.values()))
     for k1g in ci.k1_check_gens(p):
         for b in span:
@@ -442,7 +428,7 @@ def prop_give(model, w):
 
     # 2. I1-fixed vector inside the (I1 cap P)-span of w1
     level = model.level_hint([w1]) + 1
-    span_gens = i1p_generators(p, level)
+    span_gens = [g for g in ci.i1_generators(p, level) if in_subgroup(g, "P")]
     span, span_words = span_closure(model, [w1], span_gens, with_words=True)
     fixed = solve_fixed_in_span(model, span, ci.i1_generators(p, level))
     if not step("I1-fixed vector in span", bool(fixed), f"span dim {len(span)}"):

@@ -30,7 +30,6 @@ from .fqweights import (
     induce_from_iwahori,
     intertwiner_dimension,
     is_irreducible,
-    iwahori_w0_vector,
     restrict_module,
 )
 from .padicmat import (
@@ -348,7 +347,7 @@ def suite_weights(cfg: RunConfig):
     if p > 2:
         chi = TorusCharacter(field, 1, 0, 1, 1)
         modr = induce_from_iwahori(chi)
-        w0 = iwahori_w0_vector(modr, chi)
+        w0 = ps.make_phi2(chi).table
         span = modr.span_closure(w0[None, :])
         sub = restrict_module(modr, span)
         verdict = is_irreducible(sub)

@@ -1,6 +1,10 @@
 """Irreducible GL_2(F_p) representations Sym^r tensor det^m, tame torus
 characters, induction from the Iwahori, and irreducibility testing.
 
+Ind_I^K chi is the level-1 principal series restricted to K: the level-1
+points of P^1 are the cosets I\\K, so its generators are read off the
+compiled `principalseries` tables rather than built a second time.
+
 Action convention, fixed once: a matrix g = [[a,b],[c,d]] acts on the row of
 linear forms (x y) by right multiplication, so x |-> a x + c y and
 y |-> b x + d y.  Polynomials in x, y are listed on the basis
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import exactfield as xf
 from .exactfield import Field, FieldElem
-from .padicmat import Mat2, PadicRational, in_subgroup, vp_split
+from .padicmat import Mat2, in_subgroup, vp_split
 
 
 def primitive_root(p: int) -> int:
@@ -181,12 +185,6 @@ class TorusCharacter:
     def trivial(cls, field: Field):
         return cls(field, 0, 0, 1, 1)
 
-    def value_diag(self, alpha: PadicRational, delta: PadicRational) -> FieldElem:
-        if alpha.is_zero() or delta.is_zero():
-            raise ValueError("torus entries must be nonzero")
-        return self.value_parts(alpha.valuation, alpha.unit_residue(),
-                                delta.valuation, delta.unit_residue())
-
     def value_parts(self, va: int, ra: int, vd: int, rd: int) -> FieldElem:
         """The value at diag(alpha, delta) from the valuations and the unit
         residues mod p of alpha and delta."""
@@ -205,9 +203,6 @@ class TorusCharacter:
         inv = pow(ul, -1, p)
         return self.value_parts(va - vl, ua * inv % p, vd - vl, ud * inv % p)
 
-    def value_residue_pair(self, lam: int, mu: int) -> FieldElem:
-        return (self.field.from_int(lam) ** self.i1) * (self.field.from_int(mu) ** self.i2)
-
     def conj(self) -> "TorusCharacter":
         return TorusCharacter(self.field, self.i2, self.i1, self.s2, self.s1)
 
@@ -217,11 +212,6 @@ class TorusCharacter:
     def is_det_twist(self) -> bool:
         """Whether the character factors through the determinant."""
         return self.i1 == self.i2 and self.s1 == self.s2
-
-    def twist_by_det(self, exponent: int, scalar) -> "TorusCharacter":
-        sp = self.field.el(scalar)
-        return TorusCharacter(self.field, self.i1 + exponent, self.i2 + exponent,
-                              self.s1 * sp, self.s2 * sp)
 
     def __eq__(self, other):
         return (
@@ -259,13 +249,11 @@ class FiniteKModule:
     """Finite-dimensional K-module given by action matrices for the fixed
     generating set of GL_2(F_p); records where its generators came from."""
 
-    def __init__(self, field: Field, dim: int, gens: dict, provenance: str = "",
-                 residue_action=None):
+    def __init__(self, field: Field, dim: int, gens: dict, provenance: str = ""):
         self.field = field
         self.dim = dim
         self.gens = {k: np.asarray(v, dtype=np.int64) for k, v in gens.items()}
         self.provenance = provenance
-        self.residue_action = residue_action  # optional: arbitrary residue matrix -> action
 
     def act(self, name: str, vec: np.ndarray) -> np.ndarray:
         return xf.mat_vec_codes(self.field, self.gens[name], np.asarray(vec, dtype=np.int64))
@@ -302,67 +290,15 @@ class FiniteKModule:
 
 
 def induce_from_iwahori(chi: TorusCharacter) -> FiniteKModule:
-    """Ind_I^K chi: chi-twisted functions on the p+1 cosets of the Iwahori,
-    realized on the coset representatives lower-u(0..p-1) and s."""
-    p = chi.p
-    field = chi.field
+    """Ind_I^K chi, which is the level-1 principal series of chi restricted
+    to K: functions on the p+1 cosets I\\K at the points lower-u(0..p-1) and
+    s, each generator acting by its compiled level-1 table."""
+    from . import principalseries as ps  # principalseries imports this module
 
-    def act_residue(kbar):
-        # (k.f)(rep_j) = chi(i) f(rep_j') where rep_j . k = i . rep_j'
-        mat = np.zeros((p + 1, p + 1), dtype=np.int64)
-        for j in range(p + 1):
-            w = _mat_mul_residue(_coset_rep(j, p), kbar, p)
-            c, d = w[1]
-            if d % p:
-                jp = c * pow(d, -1, p) % p
-                i = _mat_mul_residue(w, _residue_inverse(_coset_rep(jp, p), p), p)
-            else:
-                jp = p
-                i = _mat_mul_residue(w, ((0, 1), (1, 0)), p)
-            val = chi.value_residue_pair(i[0][0], i[1][1])
-            mat[j, jp] = val.code
-        return mat
-
-    gens = {name: act_residue(mat) for name, mat in standard_k_residue_gens(p).items()}
-    mod = FiniteKModule(field, p + 1, gens,
-                        provenance=f"Ind_I^K{chi!r} on coset representatives",
-                        residue_action=act_residue)
-    return mod
-
-
-def _coset_rep(j: int, p: int):
-    if j == p:
-        return ((0, 1), (1, 0))
-    return ((1, 0), (j, 1))
-
-
-def _mat_mul_residue(A, B, p):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(2)) % p for j in range(2))
-        for i in range(2)
-    )
-
-
-def _residue_inverse(A, p):
-    (a, b), (c, d) = A
-    det_inv = pow((a * d - b * c) % p, -1, p)
-    return tuple(
-        tuple(x * det_inv % p for x in row)
-        for row in ((d, -b % p), (-c % p, a))
-    )
-
-
-def iwahori_w0_vector(mod: FiniteKModule, chi: TorusCharacter) -> np.ndarray:
-    """Sum over lambda of u(lambda) s applied to the identity-coset function."""
-    p = chi.p
-    f0 = np.zeros(mod.dim, dtype=np.int64)
-    f0[0] = 1
-    out = np.zeros(mod.dim, dtype=np.int64)
-    for lam in range(p):
-        g = _mat_mul_residue(((1, lam), (0, 1)), ((0, 1), (1, 0)), p)
-        vec = xf.mat_vec_codes(mod.field, mod.residue_action(g), f0)
-        out = xf.add(mod.field, out, vec)
-    return out
+    gens = {name: ps.action_matrix(chi, Mat2(chi.p, a, b, c, d), 1)
+            for name, ((a, b), (c, d)) in standard_k_residue_gens(chi.p).items()}
+    return FiniteKModule(chi.field, chi.p + 1, gens,
+                         provenance=f"Ind_I^K{chi!r} as the level-1 principal series")
 
 
 # ---------------------------------------------------------------------------

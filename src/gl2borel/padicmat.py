@@ -291,11 +291,6 @@ class Mat2:
             n >>= 1
         return out
 
-    def min_valuation(self):
-        p = self.p
-        low = min(_vp(self.A, p), _vp(self.B, p), _vp(self.C, p), _vp(self.D, p))
-        return low - _vp(self.L, p)
-
     def _key(self):
         return (self.p, self.L, self.A, self.B, self.C, self.D)
 

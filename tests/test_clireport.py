@@ -245,7 +245,10 @@ def test_cli_in_subprocess():
 # to every word up to the word length, before it grew the span by spin-up.
 # `all --p 5 --trials 20` and `generation --p 2 --trials 10 --sample-radius 1`
 # (both run in CI) were recorded while c-Ind elements still held FieldElem
-# coefficients, before they were held as code tuples.
+# coefficients, before they were held as code tuples.  The `weights --p 7`
+# pin, the one that induces from the Iwahori above p=5, was recorded while
+# Ind_I^K chi still had coset arithmetic of its own, before it was read off
+# the level-1 principal-series tables.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -289,6 +292,8 @@ REPORT_DIGESTS = {
         (0, "1b6052776fc2e94b5cec40024395f35478b0db8524ccfa1f55cacd360f0a8937"),
     ("generation", "--p", "2", "--trials", "10", "--sample-radius", "1"):
         (0, "41ecfefb667b0560792e1eab59f483e62f9c05d19f248ee85562a7b4fee4b687"),
+    ("weights", "--p", "7"):
+        (0, "aef93274d45152946496cafcfa108a80eb59bdf8caaeefb1073a714a184d786a"),
 }
 
 

@@ -1,6 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from gl2borel import exactfield as xf
+from gl2borel import principalseries as ps
 from gl2borel.exactfield import Field
 from gl2borel.fqweights import (
     TorusCharacter,
@@ -10,9 +14,9 @@ from gl2borel.fqweights import (
     induce_from_iwahori,
     intertwiner_dimension,
     is_irreducible,
-    iwahori_w0_vector,
     primitive_root,
     restrict_module,
+    standard_k_residue_gens,
 )
 from gl2borel.padicmat import Mat2, diag, lower_u, s_mat, upper_u
 
@@ -135,7 +139,7 @@ def test_w0_span_irreducible_for_regular_character():
     field = Field(3)
     chi = TorusCharacter(field, 1, 0, 1, 1)
     mod = induce_from_iwahori(chi)
-    w0 = iwahori_w0_vector(mod, chi)
+    w0 = ps.make_phi2(chi).table
     span = mod.span_closure(w0[None, :])
     sub = restrict_module(mod, span)
     assert is_irreducible(sub).status == "irreducible"
@@ -167,12 +171,6 @@ def test_torus_character_api():
     assert not chi.is_symmetric()
     assert chi.conj() == TorusCharacter(f, 0, 1, 2, 1)
     assert chi.is_det_twist() is False
-    tw = chi.twist_by_det(1, 2)
-    assert (tw.i1, tw.i2) == (0, 1)
-    assert tw.s1 == f.el(2) and tw.s2 == f.el(4)
-    from gl2borel.padicmat import PadicRational
-    val = chi.value_diag(PadicRational(3, 3), PadicRational(3, 2))
-    assert val == f.el(1) * (f.from_int(2) ** 0)  # s1 * residue(2)^0
     with pytest.raises(ValueError):
         TorusCharacter(f, 0, 0, 0, 1)
 
@@ -181,7 +179,8 @@ def test_value_upper_matches_diag_part():
     f = Field(3)
     chi = TorusCharacter(f, 1, 1, 2, 2)
     b = Mat2(3, 6, 5, 0, 2)
-    assert chi.value_upper(b) == chi.value_diag(b.a, b.d)
+    assert chi.value_upper(b) == chi.value_parts(b.a.valuation, b.a.unit_residue(),
+                                                 b.d.valuation, b.d.unit_residue())
     with pytest.raises(ValueError):
         chi.value_upper(lower_u(3, 1))
 
@@ -190,3 +189,72 @@ def test_primitive_roots():
     assert primitive_root(2) == 1
     assert primitive_root(3) == 2
     assert primitive_root(5) in (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Ind_I^K chi against plain coset arithmetic on residue matrices
+# ---------------------------------------------------------------------------
+
+def _coset_rep(j, p):
+    """The representative of the j-th coset I k: lower-u(j), or s at j = p."""
+    return ((0, 1), (1, 0)) if j == p else ((1, 0), (j, 1))
+
+
+def _mul_residue(A, B, p):
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) % p for j in range(2))
+                 for i in range(2))
+
+
+def _inverse_residue(A, p):
+    (a, b), (c, d) = A
+    det_inv = pow((a * d - b * c) % p, -1, p)
+    return tuple(tuple(x * det_inv % p for x in row) for row in ((d, -b), (-c, a)))
+
+
+def reference_induced_action(chi, kbar):
+    """(k . f)(rep_j) = chi(i) f(rep_j') where rep_j k = i rep_j' with i in
+    the Iwahori: the matrix of kbar on Ind_I^K chi, from residues alone."""
+    p, f = chi.p, chi.field
+    mat = np.zeros((p + 1, p + 1), dtype=np.int64)
+    for j in range(p + 1):
+        w = _mul_residue(_coset_rep(j, p), kbar, p)
+        c, d = w[1]
+        jp = c * pow(d, -1, p) % p if d % p else p
+        i = _mul_residue(w, _inverse_residue(_coset_rep(jp, p), p), p)
+        mat[j, jp] = (f.from_int(i[0][0]) ** chi.i1 * f.from_int(i[1][1]) ** chi.i2).code
+    return mat
+
+
+def _spread_of_characters(p):
+    if p == 2:
+        f4 = Field(2, 2)
+        return [TorusCharacter(Field(2), 0, 0, 1, 1),
+                TorusCharacter(f4, 0, 0, f4.from_code(2), f4.from_code(3))]
+    chars = [TorusCharacter(Field(p), i1, i2, 1 + i1 % (p - 1), 1)
+             for i1, i2 in [(0, 0), (1, 0), (0, 1), (1, p - 2), (p - 2, 1)]]
+    if p == 3:
+        f9 = Field(3, 2)
+        chars += [TorusCharacter(f9, 1, 0, f9.from_code(4), 1),
+                  TorusCharacter(f9, 0, 1, 1, f9.from_code(7))]
+    return chars
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_induction_matches_coset_reference(p):
+    """Every residue matrix acts on the level-1 principal-series tables as on
+    Ind_I^K chi built from cosets; so do the module's generators, and phi2 is
+    the sum over lambda of u(lambda) s applied to the identity-coset function."""
+    group = [((a, b), (c, d)) for a, b, c, d in product(range(p), repeat=4)
+             if (a * d - b * c) % p]
+    for chi in _spread_of_characters(p):
+        for kbar in group:
+            (a, b), (c, d) = kbar
+            assert np.array_equal(ps.action_matrix(chi, Mat2(p, a, b, c, d), 1),
+                                  reference_induced_action(chi, kbar)), (chi, kbar)
+        gens = induce_from_iwahori(chi).gens
+        for name, kbar in standard_k_residue_gens(p).items():
+            assert np.array_equal(gens[name], reference_induced_action(chi, kbar)), name
+        w0 = np.zeros(p + 1, dtype=np.int64)
+        for lam in range(p):  # u(lam) s = [[lam, 1], [1, 0]]
+            w0 = xf.add(chi.field, w0, reference_induced_action(chi, ((lam, 1), (1, 0)))[:, 0])
+        assert np.array_equal(ps.make_phi2(chi).table, w0), chi

@@ -156,7 +156,7 @@ def test_eigen_relation_twist_pattern():
     field = Field(3)
     base = TorusCharacter.trivial(field)
     lam0 = eigen_relation(base)
-    twisted = base.twist_by_det(1, 2)  # psi with psi(p) = 2
+    twisted = TorusCharacter(field, 1, 1, 2, 2)  # base twisted by psi o det, psi(p) = 2
     assert eigen_relation(twisted) == field.el(2) * lam0
 
 
