@@ -8,7 +8,7 @@ principalseries (finite-level principal series), borellab (experiment
 drivers), clireport (CLI and reports).
 """
 
-from .exactfield import Field, FieldElem, field_arith, solve_linear
+from .exactfield import Field, FieldElem
 from .padicmat import (
     Mat2,
     PadicRational,
@@ -22,17 +22,16 @@ from .padicmat import (
 )
 from .fqweights import TorusCharacter, Weight, induce_from_iwahori, is_irreducible
 from .compactind import CindElement, HeckeIdeal, act, hecke_T, i1_fixed_ball, phi_element, quotient_membership
-from .principalseries import PSFunction, eigen_relation, make_phi1, make_phi2, ps_act, split_for_det_character
+from .principalseries import DetSplitting, PSFunction, eigen_relation, make_phi1, make_phi2, ps_act
 
 __all__ = [
-    "Field", "FieldElem", "field_arith", "solve_linear",
+    "Field", "FieldElem",
     "Mat2", "PadicRational", "TreeVertex", "bruhat_side", "in_subgroup",
     "iwasawa", "tree_distance", "unit_lift", "vertex_normalize",
     "TorusCharacter", "Weight", "induce_from_iwahori", "is_irreducible",
     "CindElement", "HeckeIdeal", "act", "hecke_T", "i1_fixed_ball",
     "phi_element", "quotient_membership",
-    "PSFunction", "eigen_relation", "make_phi1", "make_phi2", "ps_act",
-    "split_for_det_character",
+    "DetSplitting", "PSFunction", "eigen_relation", "make_phi1", "make_phi2", "ps_act",
 ]
 
 __version__ = "0.1.0"

@@ -125,9 +125,8 @@ class PSModel:
     """Principal series attached to a tame character; vectors are level
     tables, recompressed to their minimal level after every action."""
 
-    def __init__(self, chi: TorusCharacter, n_max: int = ps.DEFAULT_N_MAX):
+    def __init__(self, chi: TorusCharacter):
         self.chi = chi
-        self.n_max = n_max
 
     @property
     def p(self):
@@ -147,13 +146,13 @@ class PSModel:
         return v.scale(c)
 
     def zero_vector(self):
-        return ps.PSFunction.zero(self.chi, 1, self.n_max)
+        return ps.PSFunction.zero(self.chi, 1)
 
     def phi1(self):
-        return ps.make_phi1(self.chi, self.n_max)
+        return ps.make_phi1(self.chi)
 
     def phi2(self):
-        return ps.make_phi2(self.chi, self.n_max)
+        return ps.make_phi2(self.chi)
 
     def is_zero(self, v) -> bool:
         return v.is_zero()
@@ -163,7 +162,7 @@ class PSModel:
 
     def random_vector(self, rng, level: int = 2):
         for _ in range(64):
-            v = ps.random_ps_function(self.chi, level, rng, self.n_max)
+            v = ps.random_ps_function(self.chi, level, rng)
             if not v.is_zero():
                 return v
         raise RuntimeError("could not sample a nonzero vector")
@@ -195,7 +194,7 @@ def compress(f: ps.PSFunction) -> ps.PSFunction:
         coarse[idx] = f.table
         if not np.array_equal(coarse[idx], f.table):
             return f
-        f = ps.PSFunction(f.chi, f.level - 1, coarse, f.n_max)
+        f = ps.PSFunction(f.chi, f.level - 1, coarse)
     return f
 
 
@@ -261,20 +260,16 @@ def twisted_sum(model, v, j):
                            for lam in range(1, p)))
 
 
-def span_closure(model, seeds, gens, with_words: bool = False):
-    """Smallest subspace containing the seeds and closed under the given
-    group elements (which must preserve the seeds' radius/level).
-
-    With with_words=True the seeds must be a single vector and each basis
-    vector comes with the group word carrying the seed onto it."""
-    basis = [v for v in seeds if not model.is_zero(v)]
-    if not basis:
-        return ([], []) if with_words else []
-    words = [Mat2.identity(model.p) for _ in basis]
+def span_closure(model, v, gens):
+    """(basis, words): a basis of the smallest subspace containing v and
+    closed under the given group elements (which must preserve v's
+    radius/level), each basis vector with the group word carrying v onto it."""
+    if model.is_zero(v):
+        return [], []
+    basis, words = [v], [Mat2.identity(model.p)]
     frame = model.frame(basis)
     span = xf.IncrementalSpan(model.field, frame.dim)
-    for v in basis:
-        span.add(frame.vec(v))
+    span.add(frame.vec(v))
     frontier = list(zip(basis, words))
     for _ in range(40):  # safety bound on the rounds of growth
         new = []
@@ -288,7 +283,7 @@ def span_closure(model, seeds, gens, with_words: bool = False):
                 words.append(word)
                 grown.append((cand, word))
         if not grown:
-            return (basis, words) if with_words else basis
+            return basis, words
         frontier = grown
     raise RuntimeError("span closure did not stabilize")
 
@@ -342,7 +337,7 @@ def k_span_module(model, v):
     p = model.p
     named = {name: Mat2(p, a, b, c, d)
              for name, ((a, b), (c, d)) in standard_k_residue_gens(p).items()}
-    span = span_closure(model, [v], list(named.values()))
+    span, _ = span_closure(model, v, list(named.values()))
     for k1g in ci.k1_check_gens(p):
         for b in span:
             if not model.equal(model.act(k1g, b), b):
@@ -353,8 +348,7 @@ def k_span_module(model, v):
         mats = xf.basis_coordinates(model.field, frame.matrix(span), images)
     except ValueError:
         raise RuntimeError("K-span closure failure") from None
-    mod = FiniteKModule(model.field, len(span), dict(zip(named, mats)),
-                        provenance=f"K-span inside {model.describe()}")
+    mod = FiniteKModule(model.field, len(span), dict(zip(named, mats)))
     return mod, span
 
 
@@ -429,7 +423,7 @@ def prop_give(model, w):
     # 2. I1-fixed vector inside the (I1 cap P)-span of w1
     level = model.level_hint([w1]) + 1
     span_gens = [g for g in ci.i1_generators(p, level) if in_subgroup(g, "P")]
-    span, span_words = span_closure(model, [w1], span_gens, with_words=True)
+    span, span_words = span_closure(model, w1, span_gens)
     fixed = solve_fixed_in_span(model, span, ci.i1_generators(p, level))
     if not step("I1-fixed vector in span", bool(fixed), f"span dim {len(span)}"):
         return report
@@ -700,10 +694,11 @@ class _Checks(list):
         return "pass" if all(c["status"] == "pass" for c in self) else "fail"
 
 
-def hom_case_supersingular(p: int = 3, weight_rm=(1, 0)):
-    """Run the restriction-transfer pipeline for the identity P-map of a
-    supersingular model and confirm G-equivariance on generators."""
-    w = Weight(p, *weight_rm)
+def hom_case_supersingular(p: int = 3):
+    """Run the restriction-transfer pipeline for the identity P-map of the
+    supersingular model c-Ind(Sym^1)/(T) and confirm G-equivariance on
+    generators."""
+    w = Weight(p, 1, 0)
     model = CindModel(w, ci.HeckeIdeal.parse(w.field, "T"))
     checks = _Checks()
     phi_map = lambda x: x  # the identity of the model, viewed as a P-map
@@ -741,7 +736,7 @@ def hom_case_sp_to_ind(p: int = 3):
     checks = _Checks()
     phi2 = model.phi2()
     checks.add("phi2 lies in the evaluation kernel", ps.eval_at_identity(phi2).is_zero())
-    lam = ps.eigen_relation(model.chi, model.n_max)
+    lam = ps.eigen_relation(model.chi)
     checks.add("eigen-relation scalar nonzero", not lam.is_zero(), f"lambda = {lam}")
     checks.add("relation: unipotent sum = lambda phi2",
                model.equal(model.hecke_sum(phi2), model.scale(lam, phi2)))
@@ -777,21 +772,17 @@ def _ps_p_gen_shifts(p):
     ]
 
 
-def p_eigenvector_space(chi: TorusCharacter, value_of, level: int = 2,
-                        n_max: int = ps.DEFAULT_N_MAX):
-    """Solve for level-N tables with b . f = value_of(b) f for the P-generator
+def p_eigenvector_space(chi: TorusCharacter, value_of):
+    """Solve for level-2 tables with b . f = value_of(b) f for the P-generator
     set, including the level-raising generators."""
     field = chi.field
     blocks = []
     for g, shift in _ps_p_gen_shifts(chi.p):
-        target = level + shift
-        if target > n_max:
-            continue
-        A = ps.action_matrix(chi, g, level, n_max)
-        R = ps.refine_matrix(chi, level, target, n_max)
+        A = ps.action_matrix(chi, g, 2)
+        R = ps.refine_matrix(chi, 2, 2 + shift)
         blocks.append(xf.sub(field, A, xf.mul(field, R, value_of(g).code)))
     kern = xf.kernel_codes(field, np.concatenate(blocks))
-    return [ps.PSFunction(chi, level, row, n_max) for row in kern]
+    return [ps.PSFunction(chi, 2, row) for row in kern]
 
 
 def hom_case_char_rigidity(p: int = 2):

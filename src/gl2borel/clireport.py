@@ -296,6 +296,7 @@ def suite_weights(cfg: RunConfig):
     cert = {"p": p}
     n = max(p - 1, 1)
     weights = [Weight(p, r, m) for r in range(p) for m in range(n)]
+    mods = [w.k_module() for w in weights]
 
     ok = True
     details = []
@@ -308,8 +309,7 @@ def suite_weights(cfg: RunConfig):
                      "dim 1 with exponents (r+m, m): " + " ".join(details), cert))
 
     ok = True
-    for w in weights:
-        mod = w.k_module()
+    for w, mod in zip(weights, mods):
         ok = ok and mod.check_relations()
         for k1g in ci.k1_check_gens(p):
             red = w.reduce_k(k1g)
@@ -318,14 +318,13 @@ def suite_weights(cfg: RunConfig):
     out.append(check("weights-k1-trivial", ok,
                      "congruence generators act as the identity", cert))
 
-    ok = all(is_irreducible(w.k_module()).status == "irreducible" for w in weights)
+    ok = all(is_irreducible(mod).status == "irreducible" for mod in mods)
     out.append(check("weights-irreducible", ok, f"{len(weights)} weights", cert))
 
     ok = True
-    for i, w1 in enumerate(weights):
-        for w2 in weights[i + 1:]:
-            d = intertwiner_dimension(w1.field, w1.k_module().gens,
-                                      w2.k_module().gens, w1.dim, w2.dim)
+    for i, (w1, mod1) in enumerate(zip(weights, mods)):
+        for w2, mod2 in zip(weights[i + 1:], mods[i + 1:]):
+            d = intertwiner_dimension(w1.field, mod1.gens, mod2.gens, w1.dim, w2.dim)
             ok = ok and d == 0
     out.append(check("weights-distinct", ok, "no nonzero intertwiners", cert))
 
@@ -617,8 +616,7 @@ def suite_pseries(cfg: RunConfig):
     asym = next((chi for chi in chars if not chi.is_symmetric()), None)
     if asym is not None:
         eig = bl.p_eigenvector_space(asym, lambda g: asym.value_upper(g)
-                                     if in_subgroup(g, "P") else asym.field.one(),
-                                     level=2)
+                                     if in_subgroup(g, "P") else asym.field.one())
         in_kappa = [f for f in eig if ps.eval_at_identity(f).is_zero()
                     and not f.is_zero()]
         out.append(check("pseries-princinj-evidence", not in_kappa,

@@ -434,10 +434,6 @@ def ball_vertices(p: int, R: int) -> tuple:
     return tuple(sorted((v for v in out if v.distance() <= R), key=lambda v: v.sort_key()))
 
 
-def sphere_size(p: int, n: int) -> int:
-    return 1 if n == 0 else (p + 1) * p ** (n - 1)
-
-
 class BallIndex:
     """Coordinates on the span of basis elements [vertex, e_i] with
     vertex distance <= R."""
@@ -665,8 +661,7 @@ def k1_check_gens(p: int) -> list:
     return gens
 
 
-def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
-                  r_max: int = DEFAULT_R_MAX) -> list:
+def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> list:
     """Basis of pro-p-Iwahori-fixed elements supported in radius <= R, in the
     quotient by the ideal when one is given.
 
@@ -674,8 +669,8 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None,
     N = R + 1 (the principal congruence subgroup of that level acts trivially
     on the ball) and re-checked at level N + 1 for stabilization.
     """
-    if R > r_max:
-        raise TruncationError(f"truncation too small: R={R} exceeds R_max={r_max}")
+    if R > DEFAULT_R_MAX:
+        raise TruncationError(f"truncation too small: R={R} exceeds R_max={DEFAULT_R_MAX}")
     ball = BallIndex(weight, R)
     field = weight.field
 

@@ -183,19 +183,12 @@ class Field:
         """Embed an integer residue through the prime subfield."""
         return FieldElem(self, int(n) % self.p)
 
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
     def one(self) -> "FieldElem":
         return FieldElem(self, 1)
 
     def gen(self) -> "FieldElem":
         """The class of x (for k = 1 this is just 1)."""
         return FieldElem(self, self.p if self.k > 1 else 1)
-
-    def elements(self):
-        for code in range(self.size):
-            yield FieldElem(self, code)
 
     # -- code-level arithmetic ---------------------------------------------
     def _code_to_poly(self, code):
@@ -354,19 +347,6 @@ class FieldElem:
             for i, c in enumerate(self.coeffs)
             if c
         ) or "0"
-
-
-def field_arith(a: FieldElem, b, op: str) -> FieldElem:
-    """Dispatcher for the three primitive operations: add, mul, inv."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        if a.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -643,19 +623,12 @@ class IncrementalSpan:
             R, self.leads = rref(field, rows)
             self.rows = R[: len(self.leads)]
 
-    @property
-    def dim(self) -> int:
-        return len(self.leads)
-
     def reduce(self, M) -> np.ndarray:
         """The rows of M minus their components along the span: every lead
         column is zero in the other rows, so the coefficients of the
         reduction are the entries of M at the leads."""
         M = np.asarray(M, dtype=np.int64)
         return sub(self.field, M, _matmul(self.field, M[:, self.leads], self.rows))
-
-    def contains(self, vec) -> bool:
-        return not np.any(self.reduce(np.asarray(vec)[None, :]))
 
     def add(self, vec) -> bool:
         """Insert the vector; True when it enlarged the span."""
@@ -745,82 +718,3 @@ def monomial_commutant(field: Field, tables, n: int):
             M[members] = exp[[phase[x] for x in members]]
             basis.append(M.reshape(n, n))
     return basis
-
-
-# ---------------------------------------------------------------------------
-# FieldElem-level wrapper: the public solve
-# ---------------------------------------------------------------------------
-
-class LinearSolveResult:
-    """Outcome of solve_linear: a solution with kernel basis, or a no-solution
-    certificate (left null vector v with v.matrix = 0 and v.rhs != 0)."""
-
-    def __init__(self, field, solution, kernel, certificate):
-        self.field = field
-        self.solution = solution
-        self.kernel = kernel
-        self.certificate = certificate
-
-    @property
-    def status(self):
-        return "solution" if self.solution is not None else "no-solution"
-
-    def __repr__(self):
-        if self.solution is None:
-            return "<no-solution with certificate>"
-        return f"<solution, kernel dim {len(self.kernel)}>"
-
-
-def _rows_to_codes(field, rows, width=None):
-    mat = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, FieldElem):
-                if not field.same_as(x.field):
-                    raise ValueError("field mismatch")
-                r.append(x.code)
-            else:
-                r.append(field.el(x).code)
-        mat.append(r)
-    if mat and any(len(r) != len(mat[0]) for r in mat):
-        raise ValueError("dimension mismatch: ragged matrix")
-    if width is not None and mat and len(mat[0]) != width:
-        raise ValueError("dimension mismatch")
-    return np.array(mat, dtype=np.int64)
-
-
-def _infer_field(rows, rhs, field):
-    if field is not None:
-        return field
-    for row in list(rows) + [list(rhs)]:
-        for x in row:
-            if isinstance(x, FieldElem):
-                return x.field
-    raise ValueError("cannot infer field: pass field=...")
-
-
-def solve_linear(matrix, rhs, field: Field | None = None) -> LinearSolveResult:
-    """Solve matrix . x = rhs over a finite field.
-
-    Returns a LinearSolveResult carrying one solution and a kernel basis, or
-    an inconsistency certificate.  Raises ValueError on dimension mismatch
-    and on mixed fields.
-    """
-    matrix = [list(r) for r in matrix]
-    rhs = list(rhs)
-    fld = _infer_field(matrix, rhs, field)
-    if len(matrix) != len(rhs):
-        raise ValueError("dimension mismatch: rows vs rhs")
-    if not matrix:
-        raise ValueError("empty system")
-    A = _rows_to_codes(fld, matrix)
-    b = _rows_to_codes(fld, [rhs], width=None)[0]
-    x, kern, cert = solve_codes(fld, A, b)
-    wrap = lambda v: [fld.from_code(int(c)) for c in v]
-    return LinearSolveResult(
-        fld,
-        wrap(x) if x is not None else None,
-        [wrap(k) for k in kern],
-        wrap(cert) if cert is not None else None,
-    )

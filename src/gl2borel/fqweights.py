@@ -158,8 +158,7 @@ class Weight:
             name: self.action_matrix(mat)
             for name, mat in standard_k_residue_gens(self.p).items()
         }
-        return FiniteKModule(self.field, self.dim, gens,
-                             provenance=f"weight {self!r} on GL2(F_{self.p}) generators")
+        return FiniteKModule(self.field, self.dim, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +246,12 @@ def standard_k_residue_gens(p: int) -> dict:
 
 class FiniteKModule:
     """Finite-dimensional K-module given by action matrices for the fixed
-    generating set of GL_2(F_p); records where its generators came from."""
+    generating set of GL_2(F_p)."""
 
-    def __init__(self, field: Field, dim: int, gens: dict, provenance: str = ""):
+    def __init__(self, field: Field, dim: int, gens: dict):
         self.field = field
         self.dim = dim
         self.gens = {k: np.asarray(v, dtype=np.int64) for k, v in gens.items()}
-        self.provenance = provenance
-
-    def act(self, name: str, vec: np.ndarray) -> np.ndarray:
-        return xf.mat_vec_codes(self.field, self.gens[name], np.asarray(vec, dtype=np.int64))
 
     def check_relations(self) -> bool:
         """Spot-check the defining relations of the generator set."""
@@ -297,8 +292,7 @@ def induce_from_iwahori(chi: TorusCharacter) -> FiniteKModule:
 
     gens = {name: ps.action_matrix(chi, Mat2(chi.p, a, b, c, d), 1)
             for name, ((a, b), (c, d)) in standard_k_residue_gens(chi.p).items()}
-    return FiniteKModule(chi.field, chi.p + 1, gens,
-                         provenance=f"Ind_I^K{chi!r} as the level-1 principal series")
+    return FiniteKModule(chi.field, chi.p + 1, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +401,7 @@ def _enumerate_lines(field, basis_rows):
 def restrict_module(mod: FiniteKModule, basis_rows: np.ndarray) -> FiniteKModule:
     """The module structure on a stable subspace, in the given basis."""
     gens = dict(zip(mod.gens, _restrict(mod.field, mod.gens.values(), basis_rows)))
-    return FiniteKModule(mod.field, basis_rows.shape[0], gens,
-                         provenance=f"submodule of [{mod.provenance}]")
+    return FiniteKModule(mod.field, basis_rows.shape[0], gens)
 
 
 def commutant_dimension(mod: FiniteKModule) -> int:

@@ -65,9 +65,8 @@ def _ratio(p: int, x):
 class PadicRational:
     """Exact rational with its p-adic valuation.
 
-    Normalized view: value = numerator / (denom_unit * p^denom_exp) with
-    p coprime to denom_unit, denom_exp >= 0, and p coprime to numerator
-    whenever denom_exp > 0; zero is (0, 1, 0).
+    Held as one Fraction in lowest terms; the valuation is read off its
+    numerator and denominator.
     """
 
     __slots__ = ("p", "frac")
@@ -85,22 +84,6 @@ class PadicRational:
             return VAL_INF
         num, den = self.frac.numerator, self.frac.denominator
         return vp_split(num, self.p)[0] - vp_split(den, self.p)[0]
-
-    @property
-    def numerator(self) -> int:
-        return self.frac.numerator
-
-    @property
-    def denom_exp(self) -> int:
-        if self.frac == 0:
-            return 0
-        return vp_split(self.frac.denominator, self.p)[0]
-
-    @property
-    def denom_unit(self) -> int:
-        if self.frac == 0:
-            return 1
-        return self.frac.denominator // self.p**self.denom_exp
 
     # -- arithmetic ------------------------------------------------------------
     def _coerce(self, other):
@@ -158,9 +141,6 @@ class PadicRational:
             raise ZeroDivisionError("division by zero")
         return PadicRational(self.p, 1 / self.frac)
 
-    def is_zero(self) -> bool:
-        return self.frac == 0
-
     def is_unit(self) -> bool:
         return self.valuation == 0
 
@@ -171,14 +151,6 @@ class PadicRational:
         v = self.valuation
         u = self.frac / Fraction(self.p) ** v
         return u.numerator * pow(u.denominator, -1, self.p) % self.p
-
-    def residue(self, mod_power: int = 1) -> int:
-        """The class mod p^mod_power; requires valuation >= 0."""
-        if self.valuation < 0:
-            raise ValueError("negative valuation has no residue")
-        q = self.p**mod_power
-        num = self.frac.numerator % q
-        return num * pow(self.frac.denominator, -1, q) % q
 
     def __eq__(self, other):
         f = self._coerce(other)
@@ -215,14 +187,14 @@ class Mat2:
 
     __slots__ = ("p", "L", "A", "B", "C", "D", "_hash")
 
-    def __init__(self, p, a, b, c, d, check=True):
+    def __init__(self, p, a, b, c, d):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         nd = [_ratio(p, x) for x in (a, b, c, d)]
         L = lcm(*(m for _, m in nd))  # the least such L is primitive
         self.p, self.L, self._hash = p, L, None
         self.A, self.B, self.C, self.D = (n * (L // m) for n, m in nd)
-        if check and self.A * self.D == self.B * self.C:
+        if self.A * self.D == self.B * self.C:
             raise ValueError("singular matrix")
 
     @classmethod
@@ -539,12 +511,11 @@ def tree_distance(g: Mat2) -> int:
 # pseudo-random sampling (tests and the identities suite)
 # ---------------------------------------------------------------------------
 
-def random_scalar(p, rng, max_num=None, max_exp=2):
-    """Nonzero element of Z[1/p]: n / p^e with small n."""
-    max_num = max_num or p * p
+def random_scalar(p, rng, max_exp=2):
+    """Nonzero element of Z[1/p]: n / p^e with 0 < |n| <= p^2."""
     n = 0
     while n == 0:
-        n = rng.randint(-max_num, max_num)
+        n = rng.randint(-p * p, p * p)
     return PadicRational(p, Fraction(n, p ** rng.randint(0, max_exp)))
 
 
@@ -569,9 +540,9 @@ def random_group_word(p, rng, max_len=8) -> Mat2:
     return g
 
 
-def random_in_subgroup(p, rng, tag: str, depth=3) -> Mat2:
-    """Uniform-ish sample from K, I, I1 or K1 via integral entries mod p^depth."""
-    span = p**depth
+def random_in_subgroup(p, rng, tag: str) -> Mat2:
+    """Uniform-ish sample from K, I, I1 or K1 via integral entries mod p^3."""
+    span = p**3
     while True:
         a = rng.randrange(span)
         b = rng.randrange(span)

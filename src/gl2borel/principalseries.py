@@ -30,11 +30,10 @@ import numpy as np
 from . import exactfield as xf
 from .exactfield import FieldElem
 from .fqweights import TorusCharacter
-from .padicmat import (Mat2, PadicRational, iwasawa, lower_u, s_mat, t_mat, tree_distance,
-                       upper_u, vp_split)
+from .padicmat import Mat2, PadicRational, iwasawa, s_mat, t_mat, tree_distance, upper_u, vp_split
 from .compactind import i1_generators
 
-DEFAULT_N_MAX = 4
+N_MAX = 4  # the finest level a table may reach
 
 
 class LevelOverflowError(ValueError):
@@ -43,18 +42,6 @@ class LevelOverflowError(ValueError):
 
 class ModelInconsistencyError(RuntimeError):
     pass
-
-
-def ps_points(p: int, N: int) -> list:
-    """Points of P^1(Z/p^N) in table order: affine then infinity branch."""
-    return [("a", x) for x in range(p**N)] + [("i", y) for y in range(p ** (N - 1))]
-
-
-def point_rep(p: int, point) -> Mat2:
-    kind, val = point
-    if kind == "a":
-        return lower_u(p, val)
-    return s_mat(p) * upper_u(p, p * val)
 
 
 def level_shift(g: Mat2) -> int:
@@ -66,9 +53,9 @@ def level_shift(g: Mat2) -> int:
 class PSFunction:
     """A level-N vector of the principal series attached to chi."""
 
-    __slots__ = ("chi", "level", "table", "n_max")
+    __slots__ = ("chi", "level", "table")
 
-    def __init__(self, chi: TorusCharacter, level: int, table, n_max: int = DEFAULT_N_MAX):
+    def __init__(self, chi: TorusCharacter, level: int, table):
         if level < 1:
             raise ValueError("level must be >= 1")
         self.chi = chi
@@ -77,12 +64,11 @@ class PSFunction:
         expected = chi.p**level + chi.p ** (level - 1)
         if self.table.shape != (expected,):
             raise ValueError("table size does not match the level")
-        self.n_max = n_max
 
     @classmethod
-    def zero(cls, chi, level=1, n_max: int = DEFAULT_N_MAX):
+    def zero(cls, chi, level=1):
         p = chi.p
-        return cls(chi, level, np.zeros(p**level + p ** (level - 1), dtype=np.int64), n_max)
+        return cls(chi, level, np.zeros(p**level + p ** (level - 1), dtype=np.int64))
 
     @property
     def field(self):
@@ -100,11 +86,11 @@ class PSFunction:
 
     def refine(self, to_level: int) -> "PSFunction":
         """Pull back to a finer level (no-op on the function it represents)."""
-        _check_refine(self.level, to_level, self.n_max)
+        _check_refine(self.level, to_level)
         if to_level == self.level:
             return self
         out = self.table[_refine_index(self.p, self.level, to_level)]
-        return PSFunction(self.chi, to_level, out, self.n_max)
+        return PSFunction(self.chi, to_level, out)
 
     def _pair(self, other):
         if not isinstance(other, PSFunction) or other.chi != self.chi:
@@ -114,7 +100,7 @@ class PSFunction:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return PSFunction(self.chi, a.level, xf.add(self.field, a.table, b.table), self.n_max)
+        return PSFunction(self.chi, a.level, xf.add(self.field, a.table, b.table))
 
     def __neg__(self):
         return self.scale(self.field.from_int(-1))
@@ -124,7 +110,7 @@ class PSFunction:
 
     def scale(self, c) -> "PSFunction":
         c = self.field.el(c) if not isinstance(c, FieldElem) else c
-        return PSFunction(self.chi, self.level, xf.mul(self.field, self.table, c.code), self.n_max)
+        return PSFunction(self.chi, self.level, xf.mul(self.field, self.table, c.code))
 
     def __eq__(self, other):
         if not isinstance(other, PSFunction):
@@ -150,10 +136,10 @@ def point_index(p: int, N: int, point) -> int:
     return p**N + val
 
 
-def _check_refine(level: int, to_level: int, n_max: int):
+def _check_refine(level: int, to_level: int):
     if to_level < level:
         raise ValueError("cannot coarsen a table")
-    if to_level > n_max:
+    if to_level > N_MAX:
         raise LevelOverflowError("level overflow")
 
 
@@ -187,11 +173,11 @@ def evaluate(f: PSFunction, g: Mat2) -> FieldElem:
     return f.chi.value_upper(b) * f.value(pt)
 
 
-def _raised_level(g: Mat2, level: int, n_max: int) -> int:
+def _raised_level(g: Mat2, level: int) -> int:
     new_level = level + level_shift(g)
-    if new_level > n_max:
+    if new_level > N_MAX:
         raise LevelOverflowError(
-            f"level overflow: need level {new_level} > N_max={n_max}")
+            f"level overflow: need level {new_level} > N_max={N_MAX}")
     return new_level
 
 
@@ -243,86 +229,77 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
 
 def ps_act(g: Mat2, f: PSFunction) -> PSFunction:
     """Right translation: (g . f)(x) = f(x g), tabulated at the raised level."""
-    new_level = _raised_level(g, f.level, f.n_max)
+    new_level = _raised_level(g, f.level)
     src, coef = _action_table(g, f.chi, f.level)
-    return PSFunction(f.chi, new_level, xf.mul(f.field, coef, f.table[src]), f.n_max)
+    return PSFunction(f.chi, new_level, xf.mul(f.field, coef, f.table[src]))
 
 
 def eval_at_identity(f: PSFunction) -> FieldElem:
     return f.value(("a", 0))
 
 
-def make_phi1(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> PSFunction:
+def make_phi1(chi: TorusCharacter) -> PSFunction:
     """The pro-p-Iwahori-fixed function supported on P.I1 with value 1 at 1."""
     p = chi.p
     table = np.zeros(p + 1, dtype=np.int64)
     table[0] = 1  # the point [0:1]; all other level-1 points lie off P.I1
-    return PSFunction(chi, 1, table, n_max)
+    return PSFunction(chi, 1, table)
 
 
-def make_phi2(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> PSFunction:
+def make_phi2(chi: TorusCharacter) -> PSFunction:
     """Sum over lambda of u(lift(lambda)) s applied to phi1."""
     p = chi.p
-    phi1 = make_phi1(chi, n_max)
-    out = PSFunction.zero(chi, 1, n_max)
+    phi1 = make_phi1(chi)
+    out = PSFunction.zero(chi, 1)
     for lam in range(p):
         out = out + ps_act(upper_u(p, lam) * s_mat(p), phi1)
     return out
 
 
-def basis_functions(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX):
-    p = chi.p
-    dim = p**N + p ** (N - 1)
-    for j in range(dim):
-        table = np.zeros(dim, dtype=np.int64)
-        table[j] = 1
-        yield PSFunction(chi, N, table, n_max)
-
-
-def action_table(chi: TorusCharacter, g: Mat2, N: int, n_max: int = DEFAULT_N_MAX):
+def action_table(chi: TorusCharacter, g: Mat2, N: int):
     """ps_act(g, .) from level N as its monomial table (src, coef): the table
     of g . f at level N + level_shift(g) is coef * f.table[src].  Raises
-    LevelOverflowError when that level exceeds n_max.  The arrays are
+    LevelOverflowError when that level exceeds N_MAX.  The arrays are
     read-only and shared with every caller of an equal (g, chi, N)."""
-    _raised_level(g, N, n_max)
+    _raised_level(g, N)
     return _action_table(g, chi, N)
 
 
-def action_matrix(chi: TorusCharacter, g: Mat2, N: int, n_max: int = DEFAULT_N_MAX):
+def action_matrix(chi: TorusCharacter, g: Mat2, N: int):
     """Matrix of ps_act(g, .) from level N to level N + shift, on code tables:
     the monomial matrix with coef[i] at (i, src[i])."""
-    src, coef = action_table(chi, g, N, n_max)
+    src, coef = action_table(chi, g, N)
     out = np.zeros((len(src), chi.p**N + chi.p ** (N - 1)), dtype=np.int64)
     out[np.arange(len(src)), src] = coef
     return out
 
 
-def refine_matrix(chi: TorusCharacter, N: int, to_level: int, n_max: int = DEFAULT_N_MAX):
+def refine_matrix(chi: TorusCharacter, N: int, to_level: int):
     """Matrix of refine from level N to `to_level`: 1 at (i, idx[i])."""
-    _check_refine(N, to_level, n_max)
+    _check_refine(N, to_level)
     idx = _refine_index(chi.p, N, to_level)
     out = np.zeros((len(idx), chi.p**N + chi.p ** (N - 1)), dtype=np.int64)
     out[np.arange(len(idx)), idx] = 1
     return out
 
 
-def i1_invariants(chi: TorusCharacter, N: int, n_max: int = DEFAULT_N_MAX) -> list:
+def i1_invariants(chi: TorusCharacter, N: int) -> list:
     """Basis of the pro-p-Iwahori-fixed vectors at level N."""
     field = chi.field
     eye = np.eye(chi.p**N + chi.p ** (N - 1), dtype=np.int64)
     blocks = []
     for g in i1_generators(chi.p, N):
-        M = action_matrix(chi, g, N, n_max)
+        M = action_matrix(chi, g, N)
         blocks.append(xf.sub(field, M, eye))
     kern = xf.kernel_codes(field, np.concatenate(blocks))
-    return [PSFunction(chi, N, row, n_max) for row in kern]
+    return [PSFunction(chi, N, row) for row in kern]
 
 
-def eigen_relation(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> FieldElem:
+def eigen_relation(chi: TorusCharacter) -> FieldElem:
     """The nonzero scalar with sum_mu u(lift(mu)) t . phi2 = lambda . phi2."""
     p = chi.p
-    phi2 = make_phi2(chi, n_max)
-    w = PSFunction.zero(chi, 2, n_max)
+    phi2 = make_phi2(chi)
+    w = PSFunction.zero(chi, 2)
     for mu in range(p):
         w = w + ps_act(upper_u(p, mu) * t_mat(p), phi2)
     phi2r = phi2.refine(w.level)
@@ -348,13 +325,12 @@ class DetSplitting:
     evaluation sequence, and the dictionary between its kernel and the
     Steinberg model inside the trivial principal series."""
 
-    def __init__(self, chi: TorusCharacter, n_max: int = DEFAULT_N_MAX):
+    def __init__(self, chi: TorusCharacter):
         if not chi.is_det_twist():
             raise ValueError("character does not factor through det")
         self.chi = chi
         self.exponent = chi.i1
         self.scalar = chi.s1  # value of psi at p
-        self.n_max = n_max
         self.trivial = TorusCharacter.trivial(chi.field)
 
     def psi_hat(self, x: PadicRational) -> FieldElem:
@@ -364,7 +340,7 @@ class DetSplitting:
 
     def det_function(self, level: int = 1) -> PSFunction:
         """The G-eigenfunction g |-> psi(det g), tabulated once per (chi, level)."""
-        return PSFunction(self.chi, level, _det_table(self.chi, level), self.n_max)
+        return PSFunction(self.chi, level, _det_table(self.chi, level))
 
     def project(self, f: PSFunction) -> FieldElem:
         return eval_at_identity(f)
@@ -380,11 +356,11 @@ class DetSplitting:
         series, intertwining the action up to the psi(det g) twist."""
         field = self.chi.field
         inv = [field.inv_code(int(c)) for c in self.det_function(f.level).table]
-        return PSFunction(self.trivial, f.level, xf.mul(field, f.table, inv), self.n_max)
+        return PSFunction(self.trivial, f.level, xf.mul(field, f.table, inv))
 
     def from_steinberg(self, f: PSFunction) -> PSFunction:
         table = xf.mul(self.chi.field, f.table, self.det_function(f.level).table)
-        return PSFunction(self.chi, f.level, table, self.n_max)
+        return PSFunction(self.chi, f.level, table)
 
 
 @lru_cache(maxsize=256)
@@ -400,16 +376,8 @@ def _det_table(chi: TorusCharacter, level: int) -> np.ndarray:
     return table
 
 
-def split_for_det_character(chi: TorusCharacter, n_max: int = DEFAULT_N_MAX) -> DetSplitting:
-    return DetSplitting(chi, n_max)
-
-
-def in_kappa(f: PSFunction) -> bool:
-    return eval_at_identity(f).is_zero()
-
-
-def random_ps_function(chi: TorusCharacter, N: int, rng, n_max: int = DEFAULT_N_MAX) -> PSFunction:
+def random_ps_function(chi: TorusCharacter, N: int, rng) -> PSFunction:
     p = chi.p
     dim = p**N + p ** (N - 1)
     table = np.array([rng.randrange(chi.field.size) for _ in range(dim)], dtype=np.int64)
-    return PSFunction(chi, N, table, n_max)
+    return PSFunction(chi, N, table)

@@ -105,6 +105,18 @@ def test_recursion_ps_does_not_terminate():
     assert all((v - psm.phi2()).is_zero() for v in rep["sequence"])
 
 
+def test_recursion_ps_stops_at_level_cap():
+    """From a vector at the level cap the first unipotent sum needs one level
+    more, so the recursion stops on the budget with the iterates so far."""
+    psm = PSModel(TorusCharacter.trivial(Field(2)))
+    v0 = ps.random_ps_function(psm.chi, ps.N_MAX, random.Random(4))
+    assert not v0.is_zero() and v0.level == 4
+    rep = recursion(psm, v0, bound=6)
+    assert rep["reason"] == "budget: level overflow: need level 5 > N_max=4"
+    assert rep["terminated"] is False and rep["n"] is None
+    assert rep["sequence"] == [v0] and rep["checks"] == []
+
+
 def test_lemma_s_on_recursion_endpoints():
     model = cind_T_model()
     res = lemma_s_check(model, model.generator())
@@ -398,7 +410,7 @@ def test_princinj_evidence_level2():
     chi differs from its conjugate."""
     from gl2borel.borellab import p_eigenvector_space
     chi = default_asymmetric_character(3)
-    eig = p_eigenvector_space(chi, lambda g: chi.value_upper(g), level=2)
+    eig = p_eigenvector_space(chi, lambda g: chi.value_upper(g))
     bad = [f for f in eig if ps.eval_at_identity(f).is_zero() and not f.is_zero()]
     assert not bad
 
@@ -410,7 +422,7 @@ def test_char_rigidity_constants_only():
     from gl2borel.padicmat import lower_u
     for p in (2, 3):
         chi = TorusCharacter.trivial(Field(p))
-        sols = p_eigenvector_space(chi, lambda g: chi.field.one(), level=2)
+        sols = p_eigenvector_space(chi, lambda g: chi.field.one())
         assert len(sols) == 1
         f = sols[0]
         model = PSModel(chi)

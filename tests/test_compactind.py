@@ -29,7 +29,6 @@ from gl2borel.compactind import (
     one_mod_p_unit_gens,
     phi_element,
     quotient_membership,
-    sphere_size,
 )
 from gl2borel.exactfield import Field, kernel_codes
 from gl2borel.fqweights import Weight
@@ -52,7 +51,8 @@ from gl2borel.padicmat import (
 def test_ball_enumeration_counts(p):
     for R in range(4):
         vs = ball_vertices(p, R)
-        assert len(vs) == sum(sphere_size(p, n) for n in range(R + 1))
+        # the sphere of radius n > 0 has (p + 1) p^(n - 1) vertices
+        assert len(vs) == 1 + sum((p + 1) * p ** (n - 1) for n in range(1, R + 1))
         assert len(set(vs)) == len(vs)
         assert all(v.distance() <= R for v in vs)
 
@@ -241,8 +241,7 @@ def test_i1_fixed_ball_examples():
     span = IncrementalSpan(w.field, ball.dim)
     for b in basis1:
         span.add(ball.coords(b))
-    assert span.contains(ball.coords(hecke_T(phi)))
-    assert span.contains(ball.coords(phi))
+    assert not np.any(span.reduce(np.stack([ball.coords(hecke_T(phi)), ball.coords(phi)])))
 
 
 def test_i1_fixed_ball_quotient():
@@ -553,7 +552,7 @@ def test_translation_rejects_singular_matrices():
     with pytest.raises(ValueError, match="singular"):
         _translate.__wrapped__(p, 1, 2, 4, 3, 6)
     with pytest.raises(ValueError, match="singular"):
-        act(Mat2(p, 1, 2, 2, 4, check=False), phi_element(Weight(p, 1, 0)))
+        act(Mat2.from_ints(p, 1, 1, 2, 2, 4), phi_element(Weight(p, 1, 0)))
 
 
 def test_residue_matrices_cached_read_only():

@@ -47,7 +47,7 @@ def test_not_integral_rejected():
     w = Weight(3, 1, 0)
     from fractions import Fraction
     with pytest.raises(ValueError, match="not integral"):
-        w.act(upper_u(3, Fraction(1, 3)), [w.field.one(), w.field.zero()])
+        w.act(upper_u(3, Fraction(1, 3)), [w.field.one(), w.field.from_int(0)])
 
 
 def test_central_p_power_trivial_via_reduction():

@@ -10,26 +10,49 @@ from gl2borel import principalseries as ps
 from gl2borel.exactfield import Field
 from gl2borel.fqweights import TorusCharacter
 from gl2borel.principalseries import (
+    DetSplitting,
     LevelOverflowError,
     PSFunction,
     action_matrix,
-    basis_functions,
     eigen_relation,
     eval_at_identity,
     evaluate,
     i1_invariants,
-    in_kappa,
     level_shift,
     make_phi1,
     make_phi2,
-    point_rep,
     ps_act,
-    ps_points,
     random_ps_function,
     refine_matrix,
-    split_for_det_character,
 )
-from gl2borel.padicmat import Mat2, diag, random_group_word, t_mat, upper_u
+from gl2borel.padicmat import Mat2, diag, lower_u, random_group_word, s_mat, t_mat, upper_u
+
+
+def ps_points(p: int, N: int) -> list:
+    """Points of P^1(Z/p^N) in table order: affine then infinity branch."""
+    return [("a", x) for x in range(p**N)] + [("i", y) for y in range(p ** (N - 1))]
+
+
+def point_rep(p: int, point) -> Mat2:
+    """The exact representative of a point: lower-u(x) at [x : 1] and
+    s u(p y) at [1 : p y]."""
+    kind, val = point
+    if kind == "a":
+        return lower_u(p, val)
+    return s_mat(p) * upper_u(p, p * val)
+
+
+def basis_functions(chi: TorusCharacter, N: int):
+    """The level-N tables with a single 1, in point order."""
+    dim = chi.p**N + chi.p ** (N - 1)
+    for j in range(dim):
+        table = np.zeros(dim, dtype=np.int64)
+        table[j] = 1
+        yield PSFunction(chi, N, table)
+
+
+def in_span(span, vec) -> bool:
+    return not np.any(span.reduce(np.asarray(vec)[None, :]))
 
 
 def all_tame_chars(p):
@@ -47,6 +70,9 @@ def test_point_tables():
     assert len(ps_points(3, 1)) == 4
     assert len(ps_points(3, 2)) == 12
     assert len(ps_points(2, 3)) == 12
+    for p, N in ((3, 1), (3, 2), (2, 3)):
+        pts = ps_points(p, N)
+        assert [ps.point_index(p, N, pt) for pt in pts] == list(range(len(pts)))
 
 
 def test_phi1_phi2_values():
@@ -56,7 +82,6 @@ def test_phi1_phi2_values():
             assert eval_at_identity(phi1) == chi.field.one()
             phi2 = make_phi2(chi)
             assert eval_at_identity(phi2).is_zero()
-            assert in_kappa(phi2)
             assert not phi2.is_zero()
 
 
@@ -135,8 +160,8 @@ def test_phi1_phi2_span_invariants(p):
     span = IncrementalSpan(chi.field, len(inv[0].table))
     for b in inv:
         span.add(b.table)
-    assert span.contains(make_phi1(chi).table)
-    assert span.contains(make_phi2(chi).table)
+    assert in_span(span, make_phi1(chi).table)
+    assert in_span(span, make_phi2(chi).table)
     # and they are independent
     span2 = IncrementalSpan(chi.field, len(inv[0].table))
     assert span2.add(make_phi1(chi).table)
@@ -186,7 +211,7 @@ def test_split_for_det_character():
     p = 3
     field = Field(p)
     chi = TorusCharacter(field, 1, 1, 2, 2)
-    spl = split_for_det_character(chi)
+    spl = DetSplitting(chi)
     one = field.one()
     assert spl.project(spl.include(one, 1)) == one
     phi1, phi2 = make_phi1(chi), make_phi2(chi)
@@ -208,22 +233,22 @@ def test_split_for_det_character():
     assert st.chi == TorusCharacter.trivial(field)
     assert spl.from_steinberg(st) == phi2
     with pytest.raises(ValueError):
-        split_for_det_character(TorusCharacter(field, 1, 0, 1, 1))
+        DetSplitting(TorusCharacter(field, 1, 0, 1, 1))
 
 
 def test_det_function_table_cached_read_only():
     p = 3
     field = Field(p)
     chi = TorusCharacter(field, 1, 1, 2, 2)
-    spl = split_for_det_character(chi)
+    spl = DetSplitting(chi)
     for level in (1, 2):
         first = spl.det_function(level).table
-        again = split_for_det_character(TorusCharacter(field, 1, 1, 2, 2)).det_function(level)
+        again = DetSplitting(TorusCharacter(field, 1, 1, 2, 2)).det_function(level)
         assert np.array_equal(first, again.table)
         assert not first.flags.writeable
         # the table is psi(det) at each point's representative
-        expected = [spl.psi_hat(ps.point_rep(p, pt).det()).code
-                    for pt in ps.ps_points(p, level)]
+        expected = [spl.psi_hat(point_rep(p, pt).det()).code
+                    for pt in ps_points(p, level)]
         assert first.tolist() == expected
 
 
@@ -231,7 +256,7 @@ def test_steinberg_dictionary_intertwines_up_to_twist():
     p = 3
     field = Field(p)
     chi = TorusCharacter(field, 0, 0, 2, 2)
-    spl = split_for_det_character(chi)
+    spl = DetSplitting(chi)
     rng = random.Random(9)
     f = random_ps_function(chi, 2, rng)
     for g in (upper_u(p, 1), t_mat(p), diag(p, 2, 1)):
@@ -268,7 +293,7 @@ def reference_act(g, f):
     p = f.p
     new_level = f.level + level_shift(g)
     table = [evaluate(f, point_rep(p, pt) * g).code for pt in ps_points(p, new_level)]
-    return PSFunction(f.chi, new_level, table, f.n_max)
+    return PSFunction(f.chi, new_level, table)
 
 
 def words_by_shift(p, rng, shift, count):
@@ -287,12 +312,13 @@ def differential_chars():
 
 
 @pytest.mark.parametrize("chi", differential_chars(), ids=["F3", "F2", "F4"])
-def test_ps_act_matches_pointwise_reference(chi):
+def test_ps_act_matches_pointwise_reference(chi, monkeypatch):
+    monkeypatch.setattr(ps, "N_MAX", 5)  # room for the level-3, shift-2 cases
     rng = random.Random(f"ps-act:{chi!r}")
     for level in (1, 2, 3):
         for shift in (0, 1, 2):
             for g in words_by_shift(chi.p, rng, shift, 2):
-                f = random_ps_function(chi, level, rng, n_max=5)
+                f = random_ps_function(chi, level, rng)
                 assert ps_act(g, f) == reference_act(g, f)
 
 
@@ -311,13 +337,13 @@ def test_action_matrix_level_overflow():
     chi = TorusCharacter.trivial(Field(3))
     with pytest.raises(LevelOverflowError, match="level overflow"):
         action_matrix(chi, t_mat(3) ** 3, 2)
+    with pytest.raises(LevelOverflowError, match=f"need level {ps.N_MAX + 1} > N_max={ps.N_MAX}"):
+        action_matrix(chi, t_mat(3), ps.N_MAX)
+    assert action_matrix(chi, t_mat(3), ps.N_MAX - 1).shape == (108, 36)
     with pytest.raises(LevelOverflowError, match="level overflow"):
-        action_matrix(chi, t_mat(3), 2, n_max=2)
-    assert action_matrix(chi, t_mat(3), 2, n_max=3).shape == (36, 12)
-    with pytest.raises(LevelOverflowError, match="level overflow"):
-        ps.action_table(chi, t_mat(3), 2, n_max=2)
-    src, coef = ps.action_table(chi, t_mat(3), 2, n_max=3)
-    assert src.shape == coef.shape == (36,)
+        ps.action_table(chi, t_mat(3), ps.N_MAX)
+    src, coef = ps.action_table(chi, t_mat(3), ps.N_MAX - 1)
+    assert src.shape == coef.shape == (108,)
 
 
 def test_action_table_cache_hit_and_bound():
