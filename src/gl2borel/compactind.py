@@ -17,7 +17,8 @@ v', and k comes from N by exact division.  Both scalars are central; only
 the prime-to-p part of L survives, as the unit it multiplies the residue
 matrix of k by.  The pair (v', residue matrix) is kept in a bounded cache
 keyed on N, so a summand costs one integer product, one lookup and one
-product with the weight's cached matrix of that residue.
+product with the weight's cached matrix of that residue; translates and
+balls share one object per vertex, so vertex-keyed dicts match by identity.
 `padicmat.vertex_normalize` and `fxk_factor` are the exact reference the
 integer path is tested against.
 
@@ -98,12 +99,14 @@ class CindElement:
 
     @classmethod
     def from_codes(cls, weight: Weight, support: dict) -> "CindElement":
-        """The element with the given code vector (ndarray or sequence) at
-        each vertex; vertices whose vector is zero are dropped."""
+        """The element with the given code vector at each vertex: an ndarray
+        or a sequence of int codes, or a tuple of Python ints, which is kept
+        as it is; vertices whose vector is zero are dropped."""
         out = cls.__new__(cls)
         out.weight = weight
-        out.support = {v: codes for v, c in support.items() if any(codes := tuple(
-            c.tolist() if isinstance(c, np.ndarray) else map(int, c)))}
+        out.support = {v: codes for v, c in support.items() if any(
+            codes := c if type(c) is tuple
+            else tuple(c.tolist() if isinstance(c, np.ndarray) else map(int, c)))}
         return out
 
     def is_zero(self) -> bool:
@@ -138,7 +141,7 @@ class CindElement:
         fld = self.weight.field
         x = fld.el(x).code
         return CindElement.from_codes(self.weight, {
-            v: [fld.mul_codes(x, c) for c in codes] for v, codes in self.support.items()})
+            v: tuple(fld.mul_codes(x, c) for c in codes) for v, codes in self.support.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CindElement):
@@ -163,7 +166,7 @@ def phi_element(weight: Weight) -> CindElement:
     """The canonical generator: supported on the base coset, value spanning
     the pro-p Iwahori fixed line."""
     v0, _ = weight.i1_fixed_line()
-    base = TreeVertex(weight.p, 0, 0)
+    base = _vertex(weight.p, 0, 0)
     return CindElement(weight, {base: v0})
 
 
@@ -182,6 +185,13 @@ def _ext_gcd(a: int, b: int):
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+@lru_cache(maxsize=4096)
+def _vertex(p: int, d: int, a) -> TreeVertex:
+    """The shared TreeVertex (d, a), a canonical mod p^d: translates and balls
+    hand out one object per vertex, so vertex-keyed dicts match by identity."""
+    return TreeVertex.canonical(p, d, a)
 
 
 @lru_cache(maxsize=4096)
@@ -224,7 +234,7 @@ def _translate(p: int, u: int, A: int, B: int, C: int, D: int):
         k.append(u * q % p)
     if (k[0] * k[3] - k[1] * k[2]) % p == 0:
         raise ValueError("not in F^x K")
-    return TreeVertex.canonical(p, e1 - e2, a), ((k[0], k[1]), (k[2], k[3]))
+    return _vertex(p, e1 - e2, a), ((k[0], k[1]), (k[2], k[3]))
 
 
 def _translate_vertex(p: int, G, u: int, vint):
@@ -414,23 +424,23 @@ class HeckeIdeal:
 def ball_vertices(p: int, R: int) -> tuple:
     """All tree vertices at distance <= R, in a fixed deterministic order;
     one shared tuple per (p, R)."""
-    out = [TreeVertex(p, 0, 0)]
+    out = [_vertex(p, 0, 0)]
     for d in range(-R, R + 1):
         if d != 0 and abs(d) <= R:
-            out.append(TreeVertex(p, d, 0))
-    # a = c * p^w nonzero, w < d
+            out.append(_vertex(p, d, 0))
+    # a = c * p^w nonzero, w < d, c a unit below p^(d - w): canonical
     for d in range(1, R + 1):
         for w in range(0, d):
             for c in range(1, p ** (d - w)):
                 if c % p:
-                    out.append(TreeVertex(p, d, Fraction(c) * Fraction(p) ** w))
+                    out.append(_vertex(p, d, Fraction(c) * Fraction(p) ** w))
     for w in range(-1, -(R + 1), -1):
         if w < 1 - R:
             break
         for d in range(w + 1, R + 2 * w + 1):
             for c in range(1, p ** (d - w)):
                 if c % p:
-                    out.append(TreeVertex(p, d, Fraction(c) * Fraction(p) ** w))
+                    out.append(_vertex(p, d, Fraction(c) * Fraction(p) ** w))
     return tuple(sorted((v for v in out if v.distance() <= R), key=lambda v: v.sort_key()))
 
 

@@ -3,17 +3,21 @@
 Everything downstream (coset decompositions, Hecke operators, principal-series
 tables, experiment drivers) reduces its questions to linear solves over
 F_{p^k}, so this module is deliberately small, exact and deterministic:
-integer codes for field elements, first-nonzero pivoting, no floating point.
+integer codes for field elements, first-nonzero pivoting, and floating point
+only where every number it holds is an integer below 2^53, so exact.
 
 Elements of F_{p^k} = F_p[x]/(modulus) are coded as integers
 c0 + c1*p + ... + c_{k-1}*p^{k-1}.  The scalar methods of Field are the
 reference arithmetic.  Arrays of codes go through one engine for every field:
 a code splits into its k base-p digits, sums are digitwise mod p, and a
 product is an integer matrix product with the k x k matrix of "multiply by b"
-on the basis 1, x, ..., x^{k-1}, built from x^e mod the modulus for e < 2k-1.
-No other precomputation is kept, so every supported field (q <= 13^4) takes
-the same vectorized path; matrix products over a prime field skip the digit
-split, since there a code is its own digit.
+on the basis 1, x, ..., x^{k-1}, built from x^e mod the modulus for e < 2k-1;
+matrix products over a prime field skip the digit split, since there a code
+is its own digit.  Such a product of n terms sums n k products of digits
+below p, so it is exact in float64 while n k (p-1)^2 < 2^53, and _matmul
+runs it there, through BLAS, when it is large enough to pay for that.
+Besides that matrix, only the exp/log tables of each multiplicative group
+are kept (exp_log, cached on first use); inverses are read from them.
 
 One pivot loop, _eliminate, does every elimination, in one of two forms:
 - rref: the reduced echelon form alone.  kernel_codes and rank_codes read
@@ -21,6 +25,9 @@ One pivot loop, _eliminate, does every elimination, in one of two forms:
 - CachedSolver: the echelon form plus the row transform L with L A = R,
   grown one column per pivot.  solve_codes is one solve and the kernel of
   one factorization, and invert_matrix_codes returns L.
+It delays the reduction mod p: a step reduces only the pivot column and the
+pivot row and subtracts its rank-1 update unreduced, so that an entry grows
+by less than k (p-1)^2 per step, and the block is reduced once, at the end.
 """
 
 from __future__ import annotations
@@ -251,7 +258,8 @@ class Field:
             raise ZeroDivisionError("division by zero")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow_code(a, self.size - 2)
+        exp, log = exp_log(self.p, self.modulus)  # a^-1 = g^(-log a)
+        return int(exp[-log[a] % (self.size - 1)])
 
 
 class FieldElem:
@@ -365,6 +373,12 @@ def _codes(field: Field, d) -> np.ndarray:
     return (d % field.p) @ field._weights
 
 
+def _reduced_codes(field: Field, d) -> np.ndarray:
+    """Reduced digit arrays of shape S + (k,) -> codes of shape S; over a
+    prime field the one digit plane itself, as a view."""
+    return d[..., 0] if field.k == 1 else d @ field._weights
+
+
 def _mul_ops(field: Field, d) -> np.ndarray:
     """Digits of b, shape S + (k,) -> shape S + (k, k): row i is digits(x^i b)."""
     k = field.k
@@ -388,21 +402,53 @@ def sub(field: Field, a, b) -> np.ndarray:
 def mul(field: Field, a, b) -> np.ndarray:
     """Elementwise a * b on broadcastable code arrays; an outer product is
     mul(field, col[:, None], row[None, :])."""
+    if field.k == 1:
+        return np.asarray(a, dtype=np.int64) * b % field.p
     ops = _mul_ops(field, _digits(field, b))
     return _codes(field, (_digits(field, a)[..., None, :] @ ops)[..., 0, :])
 
 
+# Products with at least this many multiply-adds, and more than one column,
+# run in float64 through BLAS.  With one thread on a 2-core x86-64 machine
+# BLAS beats numpy's int64 loops from about 2^14 multiply-adds, but its first
+# call maps packing buffers that raise the process's peak memory by about
+# 0.3 MB; from 2^19 on, each product saves 0.35 ms or more, which pays for
+# it.  A matrix-vector product spends more on the casts than it saves.
+_BLAS_MIN_CELLS = 1 << 19
+
+
+# The rank-1 update of _eliminate over F_{p^k} casts only its two small
+# factors, so float64 pays there from about 2^11 multiply-adds (measured as
+# above); smaller updates stay in int64, so runs of small matrices never
+# call BLAS.
+_BLAS_MIN_UPDATE_CELLS = 1 << 11
+
+
+def _float_exact(field: Field, n: int) -> bool:
+    """Whether float64 holds the digit product of an (m x n) by (n x l) code
+    product exactly: each of its sums has n k terms, products of two digits
+    below p, so it does while n k (p-1)^2 < 2^53."""
+    return n * field.k * (field.p - 1) ** 2 < 2**53
+
+
 def _matmul(field: Field, A, B) -> np.ndarray:
     """A (m x n) times B (n x l): one integer product of the digits of A with
-    the multiply-by-B[j, l] matrices (entries stay below n k p^2)."""
+    the multiply-by-B[j, l] matrices, in float64 (BLAS) when that is exact
+    and the product has more than one column and _BLAS_MIN_CELLS
+    multiply-adds, in int64 otherwise."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    if field.k == 1:  # a prime-field code is its own digit
-        return A @ B % field.p
     (m, n), l, k = A.shape, B.shape[1], field.k
-    left = _digits(field, A).reshape(m, n * k)
-    right = _mul_ops(field, _digits(field, B)).transpose(0, 2, 1, 3).reshape(n * k, l * k)
-    return _codes(field, (left @ right).reshape(m, l, k))
+    if k == 1:  # a prime-field code is its own digit
+        left, right = A, B
+    else:
+        left = _digits(field, A).reshape(m, n * k)
+        right = _mul_ops(field, _digits(field, B)).transpose(0, 2, 1, 3).reshape(n * k, l * k)
+    if l > 1 and m * n * l * k * k >= _BLAS_MIN_CELLS and _float_exact(field, n):
+        prod = np.matmul(left, right, dtype=np.float64).astype(np.int64)
+    else:
+        prod = left @ right
+    return prod % field.p if k == 1 else _codes(field, prod.reshape(m, l, k))
 
 
 def mat_vec_codes(field: Field, A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -417,15 +463,45 @@ def mat_mul_codes(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # dense linear algebra on integer-code matrices
 # ---------------------------------------------------------------------------
 
+def _next_column(A: np.ndarray, p: int, r: int, c: int, stop: int) -> int:
+    """The first column from c on (stop if none) of the digit planes A with
+    a nonzero residue from row r down.  It looks in windows of doubling
+    width, so a run of zero columns costs a few calls and at most about
+    twice its own cells."""
+    w = 4
+    while c < stop:
+        hit = (A[r:, c:c + w] % p).any(axis=(0, 2)).nonzero()[0]
+        if hit.size:
+            return c + int(hit[0])
+        c += w
+        w *= 2
+    return stop
+
+
 def _eliminate(field: Field, A: np.ndarray, stop: int, grow: bool = False):
-    """Gauss-Jordan elimination of the digit planes A (m, width, k) in place,
-    pivoting on the first `stop` columns; returns (pivots, order) with
+    """Gauss-Jordan elimination of the int64 digit planes A (m, width, k) in
+    place, pivoting on the first `stop` columns; returns (pivots, order) with
     order[i] the original index of the row now at position i.
 
     The pivot is always the first row with a nonzero entry.  Rows from the
     pivot row down vanish left of the pivot column, so only the columns from
     there to the right change, and only in the rows with a nonzero entry in
-    the pivot column, so only those rows are rewritten.
+    the pivot column.  Those rows alone are rewritten, unless they are most
+    of the rows: then one in-place pass over the block, with factor 0 in the
+    others, costs less.  A column that is zero from the pivot row down is
+    skipped with the run of such columns after it (_next_column).
+
+    Reduction is delayed (Dumas, Giorgi and Pernet, "FFLAS-FFPACK", ACM TOMS
+    35, 2008).  Each step reduces mod p only the pivot column, whose residues
+    pick the pivot and are the factors, and the pivot row, as it is scaled;
+    the rank-1 update is subtracted unreduced, and the block is reduced once,
+    at the end.  An entry of the update is a sum of k products of two
+    reduced digits, below k (p-1)^2, so after s steps every entry is below
+    p + s k (p-1)^2 in size: int64 stays exact for any matrix that fits in
+    memory.  Over F_{p^k}, k > 1, the update is a product with the
+    multiply-by-row matrices, run in float64 (BLAS) once it has
+    _BLAS_MIN_UPDATE_CELLS multiply-adds; each of its entries, below
+    k (p-1)^2 < 2^53, is exact there.
 
     With grow, the columns from `stop` on are a row transform built one
     column per pivot: when the row at position r becomes the r-th pivot row,
@@ -437,36 +513,48 @@ def _eliminate(field: Field, A: np.ndarray, stop: int, grow: bool = False):
     """
     p, k = field.p, field.k
     m, width = A.shape[:2]
-    order = np.arange(m)
+    order = list(range(m))
     pivots = []
-    r = 0
-    for c in range(stop):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, c].any(axis=1))
-        if nz.size == 0:
+    r = c = 0
+    while r < m and c < stop:
+        col = A[:, c] % p
+        live = col.any(axis=1)
+        i = r + int(live[r:].argmax())
+        if not live[i]:
+            c = _next_column(A, p, r, c + 1, stop)
             continue
-        i = r + int(nz[0])
+        inv = field.inv_code(int(col[i] @ field._weights))
         if i != r:
             A[[r, i]] = A[[i, r]]
-            order[[r, i]] = order[[i, r]]
+            order[r], order[i] = order[i], order[r]
         end = width
         if grow:
             end = stop + r + 1
             A[r, end - 1, 0] = 1  # digits of 1
-        inv = field.inv_code(int(_codes(field, A[r, c])))
-        row = A[r, c:end] @ _mul_ops(field, _digits(field, inv)) % p
+        if k == 1:
+            row = A[r, c:end] * inv % p
+        else:
+            row = A[r, c:end] @ _mul_ops(field, _digits(field, inv)) % p
         A[r, c:end] = row
-        touched = A[:, c].any(axis=1)
-        touched[r] = False
-        rows = np.flatnonzero(touched)
-        if rows.size:
-            ops = _mul_ops(field, row).transpose(1, 0, 2).reshape(k, -1)
-            A[rows, c:end] = (A[rows, c:end]
-                              - (A[rows, c] @ ops).reshape(rows.size, -1, k)) % p
+        live[i] = False  # the row now at position i is zero in column c
+        rows = live.nonzero()[0]
+        if 2 * rows.size > m:
+            col[i] = 0  # col, indexed by position, is now 0 off the touched rows
+            rows = slice(None)
+        f = col[rows]
+        if len(f):
+            if k == 1:
+                A[rows, c:end] -= f[:, None] * row
+            else:
+                ops = _mul_ops(field, row).transpose(1, 0, 2).reshape(k, -1)
+                dtype = np.float64 if len(f) * ops.size >= _BLAS_MIN_UPDATE_CELLS else np.int64
+                prod = np.matmul(f, ops, dtype=dtype).astype(np.int64, copy=False)
+                A[rows, c:end] -= prod.reshape(len(f), -1, k)
         pivots.append(c)
         r += 1
-    return pivots, order
+        c += 1
+    A %= p
+    return pivots, np.array(order, dtype=np.int64)
 
 
 def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
@@ -481,7 +569,7 @@ def rref(field: Field, mat: np.ndarray, pivot_limit: int | None = None):
     n = A.shape[1]
     stop = n if pivot_limit is None else min(pivot_limit, n)
     pivots, _ = _eliminate(field, A, stop)
-    return A @ field._weights, pivots  # the digits are reduced
+    return _reduced_codes(field, A), pivots
 
 
 def _kernel_rows(field: Field, R: np.ndarray, pivots, n: int) -> np.ndarray:
@@ -495,8 +583,8 @@ def _kernel_rows(field: Field, R: np.ndarray, pivots, n: int) -> np.ndarray:
     basis[:, pivots] = sub(field, 0, R[: len(pivots), free].T)
     # normalize leading entries to 1 for reproducible output
     leads = basis[np.arange(len(free)), np.argmax(basis != 0, axis=1)]
-    inv = np.array([field.inv_code(int(c)) for c in leads], dtype=np.int64)
-    return mul(field, basis, inv[:, None])
+    exp, log = exp_log(field.p, field.modulus)
+    return mul(field, basis, exp[-log[leads] % (field.size - 1)][:, None])
 
 
 def kernel_codes(field: Field, mat: np.ndarray) -> np.ndarray:
@@ -559,7 +647,7 @@ class CachedSolver:
         work = np.zeros((m, n + min(m, n), field.k), dtype=np.int64)
         work[:, :n] = _digits(field, A)
         piv, order = _eliminate(field, work, n, grow=True)
-        codes = work @ field._weights
+        codes = _reduced_codes(field, work)
         rank = len(piv)
         self.pivots = piv
         self.rank = rank

@@ -394,6 +394,21 @@ def test_code_arithmetic_matches_field_elements(w, R, data):
     assert f == CindElement.from_codes(w, {v: [c.code for c in t] for v, t in a.items()})
 
 
+def test_translates_share_one_vertex_object():
+    """A vertex reached through different products is one object, the one
+    ball_vertices lists, so vertex-keyed dicts match it by identity; and
+    from_codes keeps a tuple of ints as it is."""
+    p = 3
+    w = Weight(p, 1, 0)
+    phi = phi_element(w)
+    listed = {v: v for v in ball_vertices(p, 2)}
+    for g in (t_mat(p), t_mat(p) * s_mat(p), t_mat(p) * upper_u(p, 1), t_mat(p) * t_mat(p)):
+        images = [next(iter(act(g * k, phi).support)) for k in (s_mat(p), upper_u(p, 2))]
+        assert images[0] is images[1] is listed[images[0]]
+    codes = next(iter(phi.support.values()))
+    assert next(iter(CindElement.from_codes(w, phi.support).support.values())) is codes
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_vertex_integer_form(p):
     vs = ball_vertices(p, 3)
