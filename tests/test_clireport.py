@@ -248,7 +248,10 @@ def test_cli_in_subprocess():
 # coefficients, before they were held as code tuples.  The `weights --p 7`
 # pin, the one that induces from the Iwahori above p=5, was recorded while
 # Ind_I^K chi still had coset arithmetic of its own, before it was read off
-# the level-1 principal-series tables.
+# the level-1 principal-series tables.  `generation --p 5 --trials 2`, the one
+# pin whose quotient frames reach radius 5 at p=5, was recorded while those
+# frames were still ranked against the rref of the ball-wide ideal matrix,
+# before they were read off the sphere-by-sphere normal form.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -294,6 +297,8 @@ REPORT_DIGESTS = {
         (0, "41ecfefb667b0560792e1eab59f483e62f9c05d19f248ee85562a7b4fee4b687"),
     ("weights", "--p", "7"):
         (0, "aef93274d45152946496cafcfa108a80eb59bdf8caaeefb1073a714a184d786a"),
+    ("generation", "--p", "5", "--trials", "2"):
+        (0, "5522331c602f178433ec1591e1b48ff8944028b6441a06d23f5b16aaae74d234"),
 }
 
 
