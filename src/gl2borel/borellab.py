@@ -45,7 +45,6 @@ class CindModel:
         self.weight = weight
         self.ideal = ideal
         self.r_max = r_max
-        self._frames = {}
 
     @property
     def p(self):
@@ -106,16 +105,12 @@ class CindModel:
         return self._frame_at(self.level_hint(vectors) - 1)
 
     def _frame_at(self, radius: int):
-        if radius in self._frames:
-            return self._frames[radius]
         ball = ci.BallIndex(self.weight, radius)
-        reduce = None
-        if self.ideal is not None and radius - self.ideal.degree >= 0:
-            A, _, _ = ci.ideal_matrix(self.weight, self.ideal, radius - self.ideal.degree)
-            reduce = xf.IncrementalSpan(self.field, ball.dim, A.T).reduce
-        frame = _Frame(self.field, ball.dim, ball.coords, reduce)
-        self._frames[radius] = frame
-        return frame
+
+        def rows(vectors):
+            M = np.stack([ball.coords(v) for v in vectors])
+            return M if self.ideal is None else ci.normal_form_rows(self.ideal, ball, M)
+        return _Frame(ball.dim, rows)
 
     def level_hint(self, vectors) -> int:
         return max([v.radius() for v in vectors if not v.is_zero()] + [0]) + 1
@@ -177,7 +172,7 @@ class PSModel:
     def frame(self, vectors):
         level = max([v.level for v in vectors] + [1])
         dim = self.p**level + self.p ** (level - 1)
-        return _Frame(self.field, dim, lambda v: v.refine(level).table)
+        return _Frame(dim, lambda vectors: np.stack([v.refine(level).table for v in vectors]))
 
     def level_hint(self, vectors) -> int:
         return max([v.level for v in vectors] + [1])
@@ -199,24 +194,18 @@ def compress(f: ps.PSFunction) -> ps.PSFunction:
 
 
 class _Frame:
-    """Fixed coordinate chart for a batch of model vectors: the coordinates
-    of each vector, then one reduction of the stacked rows (modulo a
-    subspace, for a quotient) when `reduce` is given."""
+    """Fixed coordinate chart for a batch of model vectors: `rows` maps a
+    nonempty list of vectors to their stacked coordinates, exact in the
+    model (normal forms, for a quotient)."""
 
-    def __init__(self, field, dim, coords, reduce=None):
-        self.field = field
+    def __init__(self, dim, rows):
         self.dim = dim
-        self.coords = coords
-        self.reduce = reduce
+        self.rows = rows
 
     def matrix(self, vectors) -> np.ndarray:
         if not vectors:
             return np.zeros((0, self.dim), dtype=np.int64)
-        M = np.stack([self.coords(v) for v in vectors])
-        return M if self.reduce is None else self.reduce(M)
-
-    def vec(self, v) -> np.ndarray:
-        return self.matrix([v])[0]
+        return self.rows(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +257,7 @@ def span_closure(model, v, gens):
         return [], []
     basis, words = [v], [Mat2.identity(model.p)]
     frame = model.frame(basis)
-    span = xf.IncrementalSpan(model.field, frame.dim)
-    span.add(frame.vec(v))
+    span = xf.IncrementalSpan(model.field, frame.dim, frame.matrix(basis))
     frontier = list(zip(basis, words))
     for _ in range(40):  # safety bound on the rounds of growth
         new = []
@@ -277,8 +265,9 @@ def span_closure(model, v, gens):
             for v, word in frontier:
                 new.append((model.act(g, v), g * word))
         grown = []
-        for cand, word in new:
-            if span.add(frame.vec(cand)):
+        rows = frame.matrix([cand for cand, _ in new])
+        for (cand, word), row in zip(new, rows):
+            if span.add(row):
                 basis.append(cand)
                 words.append(word)
                 grown.append((cand, word))
@@ -310,17 +299,13 @@ def solve_fixed_in_span(model, span_vectors, gens):
 
 def proportionality(model, v, w):
     """Scalar c with w = c v, if one exists (v nonzero in the model)."""
-    frame = model.frame([v, w])
-    av, aw = frame.vec(v), frame.vec(w)
+    av, aw = model.frame([v, w]).matrix([v, w])
     nz = np.nonzero(av)[0]
     if nz.size == 0:
         return None
     field = model.field
     c = field.mul_codes(int(aw[nz[0]]), field.inv_code(int(av[nz[0]])))
     if np.array_equal(aw, xf.mul(field, av, c)):
-        return field.from_code(c)
-    # fall back to an exact model comparison (frames may be coarser than truth)
-    if model.equal(w, model.scale(field.from_code(c), v)):
         return field.from_code(c)
     return None
 
@@ -605,8 +590,8 @@ def lemma_s_check(model, v):
 def p_generation_evidence(model: CindModel, trials: int, r_target: int,
                           word_length: int, rng, sample_radius: int = 0):
     """Whether length-bounded P-words applied to random starting vectors span
-    the image of the target ball in the quotient; the target dimension comes
-    from an independent ball/image enumeration, cross-checked at two radii.
+    the image of the target ball in the quotient; the target dimension is the
+    rank of the ball's basis in the quotient frames of two radii, which agree.
 
     The span W_d of the words of length <= d is grown by spin-up (R. A.
     Parker, "The computer calculation of modular characters", 1984), level by
@@ -615,10 +600,11 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
     W_d, so only the span's new directions are acted on, not |gens|^d words.
     Each depth's frame has the largest radius among the basis, the vectors
     just generated and the targets, which is often smaller than the largest
-    radius over all words; ranks are still exact, since a quotient frame at
-    radius R >= every vector's radius loses nothing: P(T) h has radius
-    radius(h) + deg P, so an ideal element inside the ball of radius R is
-    the image of one inside the ball of radius R - deg P.
+    radius over all words; ranks are still exact, since a frame's rows are
+    the vectors' normal forms modulo P(T), zero exactly on the image at any
+    radius R >= every vector's radius: P(T) h has radius radius(h) + deg P,
+    so an ideal element inside the ball of radius R is the image of one
+    inside the ball of radius R - deg P.
 
     Starting vectors are sampled at the base vertex by default (the class the
     canonical generator lives in); vectors seeded deeper on the contracting

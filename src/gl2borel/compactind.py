@@ -27,15 +27,17 @@ block-sparse: the block column of T at a vertex x is one dim x dim matrix
 B per vertex x', with T[x, c] the sum of the [x', B c].  It is compiled once per
 (weight, variant, vertex) from translates of T phi and kept on the weight.
 `hecke_T` sums the blocks of the vertices of its argument.  The block
-column of P(T) at a vertex is composed from them once per (ideal, vertex);
-`ideal_matrix` lays those columns out over a ball.
+column of P(T) at a vertex is composed from them once per (ideal, vertex).
 
-Quotient membership needs no ball matrix.  c-Ind is free over F[T], so P(T)
-is injective, and its leading part at a vertex x (deg P spheres further
-out) maps onto x's descendants there, disjoint for distinct x.  So
-`quotient_membership` works from the outermost sphere of f inward, with one
-small solve per vertex against that leading block.  The answer is exact at
-the radius asked for, and no larger radius is tried.
+Reduction modulo P(T) needs no ball matrix.  c-Ind is free over F[T], so
+P(T) is injective, and its leading part at a vertex x (deg P spheres further
+out) maps onto x's descendants there, disjoint for distinct x.  So one normal
+form, computed from the outermost sphere inward with one small product per
+ancestor vertex for a whole batch of vectors, serves quotient membership,
+the quotient frames of the drivers (`normal_form_rows`) and `i1_fixed_ball`:
+it is linear, zero exactly on the image, and exact at the radius of its
+input.  `ideal_matrix` lays the block columns of P(T) out over a ball; it is
+the injectivity check and the reference the normal form is tested against.
 """
 
 from __future__ import annotations
@@ -570,41 +572,54 @@ class MembershipResult:
         return f"<{self.status} @R={self.certified_radius}>"
 
 
-def _peel(weight: Weight, ideal: HeckeIdeal, rest: dict):
-    """Clear rest (vertex -> code vector, changed in place) sphere by sphere
-    by subtracting P(T)[x, c]; the {x: c} that clear it, or None at the
-    first sphere that cannot be cleared, leaving the remainder in rest."""
+def _normal_form(weight: Weight, ideal: HeckeIdeal, rest: dict) -> dict:
+    """Reduce rest ({vertex: dim x m code matrix}, m vectors side by side,
+    changed in place, zero blocks dropped) modulo the image of P(T), sphere
+    by sphere from the outside in; the {x: C} whose P(T)[x, C] it subtracted.
+
+    Sphere N >= deg is grouped by ancestor x at distance N - deg.  With B the
+    blocks of rest stacked over the rows of the leading block L_x and L the
+    row transform of L_x's solver (L L_x is the identity over zero rows, as
+    L_x is injective), C = L[:dim] B is the unique C with B - L_x C outside
+    L_x's column space, and P(T)[x, C] is subtracted from every vertex of x's
+    column.  So the remainder is a linear function of the input, zero exactly
+    on the image, unchanged by a second reduction, and the input minus it is
+    P(T) applied to sum [x, C]."""
     field, d, deg = weight.field, weight.dim, ideal.degree
-    zero = np.zeros(d, dtype=np.int64)
+    m = next(iter(rest.values())).shape[1] if rest else 0
+    zero = np.zeros((d, m), dtype=np.int64)
     pre = {}
-    while rest:
-        N = max(v.distance() for v in rest)
-        if N < deg:
-            return None
-        groups = {}
+    for N in range(max((v.distance() for v in rest), default=-1), deg - 1, -1):
+        ancestors = {}
         for y in rest:
             if y.distance() == N:
-                x = y
                 for _ in range(deg):
-                    x = _parent(x)
-                groups.setdefault(x, []).append(y)
-        for x, ys in groups.items():
+                    y = _parent(y)
+                ancestors[y] = None
+        for x in ancestors:
             verts, stack, lead = _ideal_column(weight, ideal, x)
-            if any(y not in lead for y in ys):
-                return None
-            b = np.zeros((len(lead), d), dtype=np.int64)
-            for y in ys:
-                b[lead[y]] = rest[y]
-            c, _ = _leading_solver(weight, ideal, x).solve(b.ravel())
-            if c is None:
-                return None
-            pre[x] = c
-            image = xf.mat_vec_codes(field, stack, c).reshape(-1, d)
-            diff = xf.sub(field, np.array([rest.pop(v, zero) for v in verts]), image)
-            for v, vec, nz in zip(verts, diff, diff.any(axis=1)):
-                if nz:
-                    rest[v] = vec
+            B = np.concatenate([rest.get(v, zero) for v in verts[:len(lead)]])
+            C = pre[x] = xf.mat_mul_codes(field, _leading_solver(weight, ideal, x).L[:d], B)
+            diff = xf.sub(field, np.concatenate([rest.pop(v, zero) for v in verts]),
+                          xf.mat_mul_codes(field, stack, C))
+            for v, block in zip(verts, np.split(diff, len(verts))):
+                if block.any():
+                    rest[v] = block
     return pre
+
+
+def normal_form_rows(ideal: HeckeIdeal, ball: BallIndex, M: np.ndarray) -> np.ndarray:
+    """The normal forms modulo P(T) of the rows of M, code vectors in the
+    coordinates of ball, laid out in the same coordinates: two rows agree in
+    the quotient exactly when their normal forms are equal, and the rank of
+    the result is the dimension of the rows' span in the quotient."""
+    blocks = M.reshape(len(M), len(ball.vertices), ball.weight.dim).transpose(1, 2, 0)
+    rest = {ball.vertices[i]: blocks[i] for i in np.flatnonzero(blocks.any(axis=(1, 2)))}
+    _normal_form(ball.weight, ideal, rest)
+    out = np.zeros_like(blocks)
+    for v, block in rest.items():
+        out[ball.index[v]] = block
+    return out.transpose(2, 0, 1).reshape(M.shape)
 
 
 def quotient_membership(f: CindElement, ideal: HeckeIdeal, R: int,
@@ -614,16 +629,12 @@ def quotient_membership(f: CindElement, ideal: HeckeIdeal, R: int,
     c-Ind is free over F[T], so P(T) is injective and P(T) h has radius
     exactly radius(h) + deg: the preimage, when there is one, is unique and
     has radius <= R - deg, and no larger ball can find one that R misses, so
-    no radius beyond R is tried.  With N the radius of the remainder (f at
-    first), its sphere-N support is grouped by ancestor x at distance
-    N - deg; for each x the leading block L_x of P(T)'s column at x is solved
-    against the remainder on x's descendants and P(T)[x, c] is subtracted,
-    which clears sphere N.  A support vertex outside L_x's rows, an
-    inconsistent block, or a nonzero remainder of radius < deg gives
-    "nonzero", with that remainder (f minus an element of the image, with
-    an outer sphere no element of the image has) as the certificate.  A
-    remainder that reaches 0 gives "zero" with the preimage h = sum [x, c],
-    re-verified by applying the ideal.
+    no radius beyond R is tried.  f is reduced to its normal form
+    (`_normal_form`), which is zero exactly on the image.  A nonzero normal
+    form gives "nonzero" with it as the certificate: f minus an element of
+    the image, and a normal form itself, so not in the image.  A zero normal
+    form gives "zero" with the preimage h = sum [x, C] of the subtracted
+    columns, re-verified by applying the ideal.
     """
     if R < f.radius():
         raise ValueError("R must be at least the radius of f")
@@ -631,12 +642,12 @@ def quotient_membership(f: CindElement, ideal: HeckeIdeal, R: int,
         raise TruncationError(
             f"truncation too small: radius {R} exceeds R_max={r_max}; raise R_max")
     w = f.weight
-    rest = {v: np.array(codes, dtype=np.int64) for v, codes in f.support.items()}
-    pre = _peel(w, ideal, rest)
-    if pre is None:
-        return MembershipResult("nonzero", certificate=CindElement.from_codes(w, rest),
-                                certified_radius=R)
-    h = CindElement.from_codes(w, pre)
+    rest = {v: np.array(codes, dtype=np.int64)[:, None] for v, codes in f.support.items()}
+    pre = _normal_form(w, ideal, rest)
+    if rest:
+        return MembershipResult("nonzero", certified_radius=R, certificate=CindElement.from_codes(
+            w, {v: block[:, 0] for v, block in rest.items()}))
+    h = CindElement.from_codes(w, {x: C[:, 0] for x, C in pre.items()})
     if not (ideal.apply(h) - f).is_zero():
         raise RuntimeError("solver returned an invalid preimage")
     return MembershipResult("zero", preimage=h, certified_radius=R)
@@ -684,11 +695,10 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> li
     ball = BallIndex(weight, R)
     field = weight.field
 
-    if ideal is not None and R - ideal.degree >= 0:
-        U_rows = ideal_matrix(weight, ideal, R - ideal.degree)[0].T
-        reduce_fn = xf.IncrementalSpan(field, ball.dim, U_rows).reduce
-    else:
+    if ideal is None:
         reduce_fn = lambda M: M
+    else:
+        reduce_fn = lambda M: normal_form_rows(ideal, ball, M)
     d = weight.dim
     eye = np.eye(ball.dim, dtype=np.int64)
     vints = [x.int_form() for x in ball.vertices]
@@ -715,9 +725,9 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> li
         raise RuntimeError("fixed space did not stabilize across levels")
     if ideal is None:
         return [ball.elem(row) for row in kern]
-    # in the quotient, keep one representative per class: reduce the kernel
-    # modulo the ideal image (which is stable under the compact action) and
-    # drop representatives that die in the quotient
+    # in the quotient, keep one representative per class: the normal forms
+    # of the kernel modulo the ideal image (which is stable under the compact
+    # action), without those that die in the quotient
     span = xf.IncrementalSpan(field, ball.dim)
     out = []
     for reduced in reduce_fn(kern):

@@ -26,6 +26,7 @@ from gl2borel.compactind import (
     i1_fixed_ball,
     i1_generators,
     ideal_matrix,
+    normal_form_rows,
     one_mod_p_unit_gens,
     phi_element,
     quotient_membership,
@@ -696,7 +697,45 @@ def test_membership_matches_dense_solve(w):
                     assert res.preimage == ref, (spec, R, f)
                 else:
                     assert not res.certificate.is_zero()
+                    assert _dense_membership(f - res.certificate, ideal, R) is not None
     assert zeros > 0
+
+
+NORMAL_FORM_WEIGHTS = ([Weight(p, r, 0) for p in (2, 3, 5) for r in sorted({1, p - 1})]
+                       + [Weight(2, 1, 0, Field(2, 2))])
+
+
+@pytest.mark.parametrize("w", NORMAL_FORM_WEIGHTS, ids=lambda w: f"p{w.p}-{w!r}-{w.field!r}")
+def test_normal_form_matches_dense_reduction(w):
+    # the sphere-by-sphere normal form against the reduction modulo the rref
+    # of the ball-wide ideal matrix: both are linear with kernel the image in
+    # the ball, so every set of rows has one rank under both; the normal form
+    # kills images, is idempotent, and f minus it lies in the image
+    field, size = w.field, w.field.size
+    rng = random.Random(f"normal-form:{w.p}:{w.r}:{field.k}")
+    for spec in ("T", "T^2", "T-1", "T+2"):
+        ideal = HeckeIdeal.parse(field, spec)
+        for R in range(4 if w.p < 5 else 3):
+            ball = BallIndex(w, R)
+            rows = [ball.coords(ball.elem([rng.randrange(size) for _ in range(ball.dim)]))
+                    for _ in range(4)]
+            if R < ideal.degree:
+                M = np.array(rows)
+                assert np.array_equal(normal_form_rows(ideal, ball, M), M)
+                continue
+            A, inner, _ = ideal_matrix(w, ideal, R - ideal.degree)
+            images = [ball.coords(ideal.apply(inner.elem(
+                [rng.randrange(size) for _ in range(inner.dim)]))) for _ in range(3)]
+            M = np.array(images + rows + [xf.add(field, images[0], rows[0]),
+                                          xf.sub(field, rows[1], images[2])])
+            nf = normal_form_rows(ideal, ball, M)
+            ref = xf.IncrementalSpan(field, ball.dim, A.T).reduce(M)
+            for n in range(1, len(M) + 1):
+                assert xf.rank_codes(field, nf[:n]) == xf.rank_codes(field, ref[:n]), (spec, R, n)
+            assert not nf[:len(images)].any()
+            assert np.array_equal(normal_form_rows(ideal, ball, nf), nf)
+            for f, r in zip(M, nf):
+                assert xf.solve_codes(field, A, xf.sub(field, f, r))[0] is not None, (spec, R)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
