@@ -723,14 +723,8 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> li
     if kern.shape[0] != kern2.shape[0] or xf.rank_codes(
             field, np.concatenate([kern, kern2])) != kern.shape[0]:
         raise RuntimeError("fixed space did not stabilize across levels")
-    if ideal is None:
-        return [ball.elem(row) for row in kern]
     # in the quotient, keep one representative per class: the normal forms
     # of the kernel modulo the ideal image (which is stable under the compact
-    # action), without those that die in the quotient
+    # action), without those that die in the quotient or repeat a class
     span = xf.IncrementalSpan(field, ball.dim)
-    out = []
-    for reduced in reduce_fn(kern):
-        if np.any(reduced) and span.add(reduced):
-            out.append(ball.elem(reduced))
-    return out
+    return [ball.elem(row) for row in reduce_fn(kern) if span.add(row)]
