@@ -606,6 +606,10 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
     so an ideal element inside the ball of radius R is the image of one
     inside the ball of radius R - deg P.
 
+    A trial fails only when its span stops growing uncovered, since the span
+    is then P-stable; one that reaches the word length still growing is
+    inconclusive, a truncation outcome.
+
     Starting vectors are sampled at the base vertex by default (the class the
     canonical generator lives in); vectors seeded deeper on the contracting
     spine are documented to need longer words."""
@@ -641,13 +645,13 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
             new = [model.act(g, f) for g in gens for f in fresh]
         report["per_trial"].append({
             "span_dim": len(basis), "covers_ball": covered, "depth": depth,
-            "status": "pass" if covered else "fail",
+            "status": "pass" if covered else "inconclusive" if fresh else "fail",
             "start_support": [repr(v) for v in sorted(w.support, key=lambda v: v.sort_key())],
         })
-    report["status"] = ("pass" if all(t["covers_ball"] for t in report["per_trial"])
-                        and report["oracle_stable"] else "fail")
-    if word_length == 0:
-        report["status"] = "insufficient depth"
+    found = {t["status"] for t in report["per_trial"]} | {
+        "pass" if report["oracle_stable"] else "fail"}
+    report["status"] = ("insufficient depth" if word_length == 0 else
+                        next(s for s in ("fail", "inconclusive", "pass") if s in found))
     return report
 
 

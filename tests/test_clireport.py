@@ -203,18 +203,20 @@ def test_cli_inconclusive_exit_3():
 
 
 def test_cli_generation_names_missed_trials():
-    """A failing generation-covers check names each trial that missed the ball
-    and its start vector's support; a passing one keeps the plain detail."""
+    """A generation-covers check that misses the ball names each trial that
+    missed it, its start vector's support and, for a trial cut off by the
+    word length while its span still grew (inconclusive, exit 3), the depth
+    and span dim it reached; a passing one keeps the plain detail."""
     base = ["generation", "--p", "2", "--trials", "3"]
     rc, out, _ = run_inproc(*base, "--sample-radius", "1", "--word-length", "1")
-    assert rc == 2
+    assert rc == 3
     covers = json.loads(out)["checks"][1]
-    assert covers["status"] == "fail"
+    assert covers["status"] == "inconclusive"
     detail = covers["details"]
-    assert detail.startswith("span dims [")
+    assert detail.startswith("span dims [5, 3, 5], depths [1, 1, 1]")
     _, missed = detail.split("; missed the ball: ")
     assert missed.startswith("trial 0 (start support V(d=0, a=0)")
-    assert "trial 2 (start support V(" in missed
+    assert "), still growing at depth 1 with span dim 3; trial 2 (start support V(" in missed
     rc, out, _ = run_inproc(*base, "--word-length", "2")
     assert rc == 0
     assert "missed" not in json.loads(out)["checks"][1]["details"]
@@ -240,9 +242,12 @@ def test_cli_in_subprocess():
 # --ideal T-1` pin (a truncation stop, exit 3) were recorded while quotient
 # membership was still a dense solve over the whole ball with a re-check at
 # radius R + 1, before it was decided sphere by sphere.  The three
-# `generation` pins (`--p 3 --trials 20` fails on its phi-line trials, exit 2)
-# were recorded while the generation evidence still applied every generator
-# to every word up to the word length, before it grew the span by spin-up.
+# `generation` pins were recorded while the generation evidence still applied
+# every generator to every word up to the word length, before it grew the
+# span by spin-up; `--p 3 --trials 20` (its phi-line trials) and `--p 3
+# --trials 4 --sample-radius 1 --word-length 3` were re-recorded, exit 2 -> 3,
+# when a trial that reaches the word length still growing became inconclusive
+# instead of failing, and only their `generation-covers` check changed.
 # `all --p 5 --trials 20` and `generation --p 2 --trials 10 --sample-radius 1`
 # (both run in CI) were recorded while c-Ind elements still held FieldElem
 # coefficients, before they were held as code tuples.  The `weights --p 7`
@@ -284,13 +289,13 @@ REPORT_DIGESTS = {
     ("lemma-s", "--p", "3"):
         (0, "65efa1261bf71b891a8d26726075f6eed7828fcba80579bd79adeee8799b1b37"),
     ("generation", "--p", "3", "--trials", "20"):
-        (2, "cf38a5eb0f5d27c8bc389188420ac90cd63a82e334b90d03a6652731142fc883"),
+        (3, "c729b1a93a8f9973ad9de0ce1401773321daaadfa3b1273a4be2f69b41a780d8"),
     ("generation", "--p", "2", "--trials", "5", "--sample-radius", "1",
      "--word-length", "4"):
         (0, "3b53f11f85f548fa4a55d4f961b32c54dc1e7f6660a0d65c9a3f34a4f536aca9"),
     ("generation", "--p", "3", "--trials", "4", "--sample-radius", "1",
      "--word-length", "3"):
-        (2, "c596b93f226c3a415e48de30e0d35cdb27837796f98ded27d6f88bd9c8c14785"),
+        (3, "3d11aec39ebbebaf1374a873fafb219d0b4f28d9064fc59958a91aa5f33f95c0"),
     ("all", "--p", "5", "--trials", "20"):
         (0, "1b6052776fc2e94b5cec40024395f35478b0db8524ccfa1f55cacd360f0a8937"),
     ("generation", "--p", "2", "--trials", "10", "--sample-radius", "1"):
