@@ -527,8 +527,8 @@ def _leading_solver(weight: Weight, ideal: HeckeIdeal, x: TreeVertex) -> xf.Cach
     """A solver on the leading block L_x of P(T)'s column at x, its blocks
     at x's descendants deg spheres further out stacked.  L_x is injective
     (for deg = 1 it evaluates a degree-r form at the p or p + 1 points of
-    P^1(F_p) below x, and r <= p - 1), which is what makes membership
-    decidable sphere by sphere; a rank below dim raises."""
+    P^1(F_p) below x, and r <= p - 1), which is what makes the normal form
+    exact sphere by sphere; a rank below dim raises."""
     key = ("plead", ideal.key, x)
     solver = weight._hecke_cache.get(key)
     if solver is None:
