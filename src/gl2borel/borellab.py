@@ -282,13 +282,10 @@ def solve_fixed_in_span(model, span_vectors, gens):
     row of its coefficients on span_vectors) pairs."""
     if not span_vectors:
         return []
-    frame = model.frame(span_vectors)
-    A0 = frame.matrix(span_vectors)
-    blocks = []
-    for g in gens:
-        Ag = frame.matrix([model.act(g, v) for v in span_vectors])
-        blocks.append(xf.sub(model.field, Ag, A0).T)
-    kern = xf.kernel_codes(model.field, np.concatenate(blocks))
+    A0, *images = np.split(model.frame(span_vectors).matrix(
+        span_vectors + [model.act(g, v) for g in gens for v in span_vectors]), len(gens) + 1)
+    kern = xf.kernel_codes(model.field, np.concatenate(
+        [xf.sub(model.field, Ag, A0).T for Ag in images]))
     out = []
     for row in kern:
         v = combine(model, zip(row, span_vectors))
@@ -327,10 +324,10 @@ def k_span_module(model, v):
         for b in span:
             if not model.equal(model.act(k1g, b), b):
                 raise RuntimeError("K-span is not trivial under K_1")
-    frame = model.frame(span)
-    images = [frame.matrix([model.act(g, b) for b in span]) for g in named.values()]
+    rows, *images = np.split(model.frame(span).matrix(
+        span + [model.act(g, b) for g in named.values() for b in span]), len(named) + 1)
     try:
-        mats = xf.basis_coordinates(model.field, frame.matrix(span), images)
+        mats = xf.basis_coordinates(model.field, rows, images)
     except ValueError:
         raise RuntimeError("K-span closure failure") from None
     mod = FiniteKModule(model.field, len(span), dict(zip(named, mats)))

@@ -598,12 +598,12 @@ def _normal_form(weight: Weight, ideal: HeckeIdeal, rest: dict) -> dict:
                 ancestors[y] = None
         for x in ancestors:
             verts, stack, lead = _ideal_column(weight, ideal, x)
-            B = np.concatenate([rest.get(v, zero) for v in verts[:len(lead)]])
-            C = pre[x] = xf.mat_mul_codes(field, _leading_solver(weight, ideal, x).L[:d], B)
-            diff = xf.sub(field, np.concatenate([rest.pop(v, zero) for v in verts]),
-                          xf.mat_mul_codes(field, stack, C))
-            for v, block in zip(verts, np.split(diff, len(verts))):
-                if block.any():
+            old = np.concatenate([rest.pop(v, zero) for v in verts])
+            C = pre[x] = xf.mat_mul_codes(field, _leading_solver(weight, ideal, x).L[:d],
+                                          old[:len(lead) * d])
+            diff = xf.sub(field, old, xf.mat_mul_codes(field, stack, C)).reshape(-1, d, m)
+            for v, block, nz in zip(verts, diff, diff.any(axis=(1, 2))):
+                if nz:
                     rest[v] = block
     return pre
 
@@ -705,8 +705,9 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> li
 
     def condition_matrix(level):
         # g sends the block of vertex x to the block of g x through the
-        # residue matrix of its K-part: one translation per vertex
-        blocks = []
+        # residue matrix of its K-part: one translation per vertex; the
+        # columns of every g - 1 are reduced in one batch
+        cols = []
         for g in i1_generators(weight.p, level):
             G, u = _integer_form(g)
             M = np.zeros((ball.dim, ball.dim), dtype=np.int64)
@@ -714,9 +715,8 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> li
                 nv, kbar = _translate_vertex(weight.p, G, u, vint)
                 j = ball.index[nv]
                 M[j * d:(j + 1) * d, i * d:(i + 1) * d] = weight.residue_action(kbar)
-            diff = xf.sub(field, M, eye)
-            blocks.append(reduce_fn(diff.T).T)
-        return np.concatenate(blocks)
+            cols.append(xf.sub(field, M, eye).T)
+        return np.concatenate([X.T for X in np.split(reduce_fn(np.concatenate(cols)), len(cols))])
 
     kern = xf.kernel_codes(field, condition_matrix(R + 1))
     kern2 = xf.kernel_codes(field, condition_matrix(R + 2))
