@@ -189,7 +189,10 @@ def _ext_gcd(a: int, b: int):
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
-@lru_cache(maxsize=4096)
+# 2^14 holds the radius-8 ball at p=3 (13,121 vertices), one sphere past the
+# radius-7 frames of `generation --p 3 --word-length 6`, so no vertex those
+# frames or their translates reach is evicted and rebuilt as a second object.
+@lru_cache(maxsize=1 << 14)
 def _vertex(p: int, d: int, a) -> TreeVertex:
     """The shared TreeVertex (d, a), a canonical mod p^d: translates and balls
     hand out one object per vertex, so vertex-keyed dicts match by identity."""
@@ -668,13 +671,15 @@ def one_mod_p_unit_gens(p: int, N: int) -> list:
     return [2**N - 1, 5]
 
 
-def i1_generators(p: int, N: int) -> list:
-    """Topological generators of the pro-p Iwahori, enough modulo level N."""
+@lru_cache(maxsize=64)
+def i1_generators(p: int, N: int) -> tuple:
+    """Topological generators of the pro-p Iwahori, enough modulo level N;
+    one shared tuple per (p, N)."""
     gens = [upper_u(p, 1), lower_u(p, p)]
     for u in one_mod_p_unit_gens(p, N):
         gens.append(diag(p, u, 1))
         gens.append(diag(p, 1, u))
-    return gens
+    return tuple(gens)
 
 
 def k1_check_gens(p: int) -> list:

@@ -8,16 +8,20 @@ only where every number it holds is an integer below 2^53, so exact.
 
 Elements of F_{p^k} = F_p[x]/(modulus) are coded as integers
 c0 + c1*p + ... + c_{k-1}*p^{k-1}.  The scalar methods of Field are the
-reference arithmetic.  Arrays of codes go through one engine for every field:
-a code splits into its k base-p digits, sums are digitwise mod p, and a
-product is an integer matrix product with the k x k matrix of "multiply by b"
-on the basis 1, x, ..., x^{k-1}, built from x^e mod the modulus for e < 2k-1;
-matrix products over a prime field skip the digit split, since there a code
-is its own digit.  Such a product of n terms sums n k products of digits
-below p, so it is exact in float64 while n k (p-1)^2 < 2^53, and _matmul
-runs it there, through BLAS, when it is large enough to pay for that.
-Besides that matrix, only the exp/log tables of each multiplicative group
-are kept (exp_log, cached on first use); inverses are read from them.
+reference arithmetic.  Over F_p they are integer arithmetic mod p; over
+F_{p^k} products, powers and inverses are read from the exp/log tables of
+the multiplicative group (exp_log, cached on first use), so polynomial
+arithmetic only finds the modulus and builds those tables.  Arrays of codes
+go through one engine for every field: a code splits into its k base-p
+digits, sums are digitwise mod p, and a product is an integer matrix product
+with the k x k matrix of "multiply by b" on the basis 1, x, ..., x^{k-1},
+built from the codes of x^e for e < 2k-1; matrix products over a prime field
+skip the digit split, since there a code is its own digit.  Such a product
+of n terms sums n k products of digits below p, so it is exact in float64
+while n k (p-1)^2 < 2^53, and _matmul runs it there, through BLAS, when it
+is large enough to pay for that.  Fixed vectors and commutants of monomial
+maps come from orbits with discrete-log labels (monomial_fixed), without an
+elimination.
 
 One pivot loop, _eliminate, does every elimination, in one of two forms:
 - rref: the reduced echelon form alone.  kernel_codes and rank_codes read
@@ -141,13 +145,15 @@ class Field:
         self.k = k
         self.modulus = modulus
         self.size = p**k
+        # exp/log as lists, for scalar products, powers and inverses over
+        # F_{p^k} and for the labels of monomial tables
+        self._exp, self._log = (t.tolist() for t in exp_log(p, modulus))
         # array engine data: digit weights p^i, and _mul_op with
-        # digits(b) @ _mul_op = the k x k matrix whose row i is digits(x^i b)
+        # digits(b) @ _mul_op = the k x k matrix whose row i is digits(x^i b),
+        # from the codes of x^e = exp[e log x] for e < 2k - 1 (x has code p)
         self._weights = p ** np.arange(k, dtype=np.int64)
-        xpow = np.zeros((2 * k - 1, k), dtype=np.int64)
-        for e in range(2 * k - 1):
-            for t, c in enumerate(_poly_mod((0,) * e + (1,), modulus, p)):
-                xpow[e, t] = c
+        xpow = [1] + [self._exp[e * self._log[p] % (self.size - 1)] for e in range(1, 2 * k - 1)]
+        xpow = np.array(xpow, dtype=np.int64)[:, None] // self._weights % p
         self._mul_op = xpow[np.add.outer(np.arange(k), np.arange(k))].reshape(k, k * k)
 
     # -- identity / compatibility ------------------------------------------
@@ -198,19 +204,6 @@ class Field:
         return FieldElem(self, self.p if self.k > 1 else 1)
 
     # -- code-level arithmetic ---------------------------------------------
-    def _code_to_poly(self, code):
-        out = []
-        while code:
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def _poly_to_code(self, poly):
-        code = 0
-        for i, c in enumerate(poly):
-            code += (c % self.p) * self.p**i
-        return code
-
     def add_codes(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
@@ -240,26 +233,24 @@ class Field:
     def mul_codes(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        prod = _poly_mul(self._code_to_poly(a), self._code_to_poly(b), self.p)
-        return self._poly_to_code(_poly_mod(prod, self.modulus, self.p))
+        if not a or not b:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
 
     def pow_code(self, a, n):
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul_codes(out, base)
-            base = self.mul_codes(base, base)
-            n >>= 1
-        return out
+        """a^n for n >= 0, with 0^0 = 1."""
+        if self.k == 1:
+            return pow(a, n, self.p)
+        if not a:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.size - 1)]
 
     def inv_code(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        exp, log = exp_log(self.p, self.modulus)  # a^-1 = g^(-log a)
-        return int(exp[-log[a] % (self.size - 1)])
+        return self._exp[-self._log[a] % (self.size - 1)]  # a^-1 = g^(-log a)
 
 
 class FieldElem:
@@ -744,52 +735,69 @@ def matrix_relation_kernel(field: Field, pairs, dim_in: int, dim_out: int):
     return [k.reshape(dim_out, dim_in) for k in kern]
 
 
+def _code_poly(code: int, p: int) -> tuple:
+    out = []
+    while code:
+        out.append(code % p)
+        code //= p
+    return tuple(out)
+
+
+def _poly_code(poly, p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(poly))
+
+
 @lru_cache(maxsize=None)
 def exp_log(p: int, modulus):
     """exp[e] = g^e (e < q - 1) for the first primitive element g of F_q^*
     in code order, and log with log[exp[e]] = e, for F_q = F_p[x]/(modulus).
-    Over F_p (modulus (0, 1)) g is the least primitive root, 1 at p = 2."""
-    field = Field(p, len(modulus) - 1, modulus)
-    for g in range(1, field.size):
-        exp = [1]
-        while (x := field.mul_codes(exp[-1], g)) != 1:
+    Over F_p (modulus (0, 1)) g is the least primitive root, 1 at p = 2.
+    Powers are polynomial products: Field multiplies through these tables."""
+    size = p ** (len(modulus) - 1)
+    for g in range(1, size):
+        gpoly, exp = _code_poly(g, p), [1]
+        while (x := _poly_code(_poly_mod(_poly_mul(_code_poly(exp[-1], p), gpoly, p),
+                                         modulus, p), p)) != 1:
             exp.append(x)
-        if len(exp) == field.size - 1:
-            log = np.zeros(field.size, dtype=np.int64)
+        if len(exp) == size - 1:
+            log = np.zeros(size, dtype=np.int64)
             log[exp] = np.arange(len(exp))
             exp = np.array(exp, dtype=np.int64)
             exp.flags.writeable = log.flags.writeable = False  # shared by every caller
             return exp, log
 
 
-def monomial_commutant(field: Field, tables, n: int):
-    """Basis of {M (n x n) : A M = M A for every A}, each A monomial and given
-    by its table (src, coef): (A f)[i] = coef[i] f[src[i]].  Raises
+def _table_logs(field: Field, src, coef, n: int):
+    """(src, log coef^-1) of a monomial table as lists, logs mod q - 1.
+    Raises ValueError unless src is a permutation of range(n) and coef holds
+    n nonzero codes."""
+    src, coef = np.asarray(src, dtype=np.int64), np.asarray(coef, dtype=np.int64)
+    if src.shape != (n,) or sorted(src := src.tolist()) != list(range(n)):
+        raise ValueError("src must be a permutation of range(n)")
+    if coef.shape != (n,) or n and not 0 < min(coef := coef.tolist()) <= max(coef) < field.size:
+        raise ValueError("coef must hold n nonzero codes")
+    log, order = field._log, field.size - 1
+    return src, [-log[c] % order for c in coef]
+
+
+def monomial_fixed(field: Field, tables, n: int) -> np.ndarray:
+    """Basis of {f : A f = f for every A}, each A monomial and given by its
+    table (src, coef): (A f)[i] = coef[i] f[src[i]].  The rows are those of
+    kernel_codes of the stacked A - I, entry for entry and in order.  Raises
     ValueError unless src is a permutation of range(n) and coef is nonzero.
 
-    A M = M A reads M[src i, src l] = coef[l] coef[i]^-1 M[i, l], so M is
-    fixed on each orbit of index pairs by its value at the orbit's first pair
-    in row-major order.  An orbit whose labels disagree around a cycle is
-    forced to zero; each other orbit gives one basis matrix, 1 at its first
-    pair, in the order of those pairs.  This is the orbital basis of a
-    centraliser algebra (D. G. Higman, "Coherent configurations I", Geom.
-    Dedicata 4, 1975).  Labels are discrete logarithms mod q - 1, so the
-    search multiplies no field codes."""
+    A f = f reads f[src i] = coef[i]^-1 f[i], so f is fixed on each orbit of
+    indices by its value at the orbit's first index.  An orbit whose labels
+    disagree around a cycle is forced to zero; each other orbit gives one
+    basis row, 1 at its first index.  Elimination leaves the orbit's last
+    index free, so the rows are ordered by it.  Labels are discrete
+    logarithms mod q - 1, so the search multiplies no field codes."""
     order = field.size - 1
-    exp, log = exp_log(field.p, field.modulus)
-    moves = []  # per map: where pair i n + l goes, and the log of its label
-    for src, coef in tables:
-        src, coef = np.asarray(src, dtype=np.int64), np.asarray(coef, dtype=np.int64)
-        if src.shape != (n,) or np.any(np.sort(src) != np.arange(n)):
-            raise ValueError("src must be a permutation of range(n)")
-        if coef.shape != (n,) or np.any((coef <= 0) | (coef > order)):
-            raise ValueError("coef must hold n nonzero codes")
-        lg = log[coef]
-        moves.append(((src[:, None] * n + src).ravel().tolist(),
-                      ((lg - lg[:, None]) % order).ravel().tolist()))
-    phase = [None] * (n * n)
-    basis = []
-    for start in range(n * n):
+    # per map: where index i goes, and the log of its label coef[i]^-1
+    moves = [_table_logs(field, src, coef, n) for src, coef in tables]
+    phase = [None] * n
+    orbits = []
+    for start in range(n):
         if phase[start] is not None:
             continue
         phase[start], members, consistent = 0, [start], True
@@ -802,7 +810,27 @@ def monomial_commutant(field: Field, tables, n: int):
                 elif phase[y] != e:
                     consistent = False
         if consistent:
-            M = np.zeros(n * n, dtype=np.int64)
-            M[members] = exp[[phase[x] for x in members]]
-            basis.append(M.reshape(n, n))
+            orbits.append((max(members), members))
+    orbits.sort()
+    rows, cols = [], []
+    for row, (_, members) in enumerate(orbits):
+        rows += [row] * len(members)
+        cols += members
+    basis = np.zeros((len(orbits), n), dtype=np.int64)
+    basis[rows, cols] = [field._exp[phase[x]] for x in cols]
     return basis
+
+
+def monomial_commutant(field: Field, tables, n: int) -> list:
+    """Basis of {M (n x n) : A M = M A for every A}, each A a monomial table
+    as in monomial_fixed.  A M = M A reads M[i, l] = coef[i] coef[l]^-1
+    M[src i, src l], a monomial map on the index pairs i n + l, so this is
+    monomial_fixed on the pairs: the orbital basis of a centraliser algebra
+    (D. G. Higman, "Coherent configurations I", Geom. Dedicata 4, 1975)."""
+    exp = exp_log(field.p, field.modulus)[0]
+    pairs = []
+    for src, inv in (_table_logs(field, src, coef, n) for src, coef in tables):
+        src, inv = np.array(src), np.array(inv)
+        pairs.append(((src[:, None] * n + src).ravel(),
+                      exp[(inv - inv[:, None]).ravel() % (field.size - 1)]))
+    return [row.reshape(n, n) for row in monomial_fixed(field, pairs, n * n)]

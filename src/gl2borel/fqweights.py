@@ -179,17 +179,27 @@ class TorusCharacter:
         self.s2 = field.el(s2)
         if self.s1.is_zero() or self.s2.is_zero():
             raise ValueError("character scalars must be nonzero")
+        self._exp, self._log = xf.exp_log(self.p, field.modulus)
+        # s1^va ra^i1 s2^vd rd^i2 = g^e with e = _weights . (va, log ra, vd, log rd)
+        self._weights = np.array([self._log[self.s1.code], self.i1,
+                                  self._log[self.s2.code], self.i2])
 
     @classmethod
     def trivial(cls, field: Field):
         return cls(field, 0, 0, 1, 1)
 
+    def value_codes(self, torus):
+        """Codes of the values at diag(alpha, delta) for the rows
+        (va, ra, vd, rd) of torus, elementwise: the valuations and the unit
+        residues 0 < r < p of alpha and delta.  One gather from the exp table
+        at va log s1 + i1 log ra + vd log s2 + i2 log rd mod q - 1."""
+        logs = np.array(torus, dtype=np.int64)
+        logs[1::2] = self._log[logs[1::2]]
+        return self._exp[self._weights @ logs % (self.field.size - 1)]
+
     def value_parts(self, va: int, ra: int, vd: int, rd: int) -> FieldElem:
-        """The value at diag(alpha, delta) from the valuations and the unit
-        residues mod p of alpha and delta."""
-        out = self.s1**va * self.s2**vd
-        out = out * self.field.from_int(ra) ** self.i1
-        return out * self.field.from_int(rd) ** self.i2
+        """The value at diag(alpha, delta), as value_codes gives it."""
+        return self.field.from_code(int(self.value_codes([va, ra, vd, rd])))
 
     def value_upper(self, b: Mat2) -> FieldElem:
         """chi of the diagonal of b in P: alpha = A / L and delta = D / L."""

@@ -9,16 +9,19 @@ at most v(det g) - 2 min-valuation(g).
 
 An action is a compiled monomial table: for each point x of the raised level,
 x g = b . rep(x') with b upper-triangular and x' a point of the source level,
-so (g . f)(x) = chi(b) f(x').  The table stores the index of x' and the code of
-chi(b); it depends only on (g, chi, level) and is kept in a bounded cache, so
-applying g is one gather and one field multiplication.  The compiler reads
-the primitive integer form L g of g and factors every point on the bottom row
-of rep(x) g in exact Python integers: x' comes from a quotient of two
-integers, and chi(b) only from the sign, valuation and unit residue of one of
-them.  `_coset_factor` is the same factorisation of one product rep(x) g
-through `padicmat.iwasawa`, and `evaluate` applies it to a single group
-element: they are the reference the tables are tested against.  Refinement
-to a finer level is a gather through a cached index of point reductions.
+so (g . f)(x) = chi(b) f(x').  Its geometry, the index of x' and the
+valuations and unit residues of b's diagonal, depends only on (g, level) and
+is shared by every character; a character's coefficients chi(b) are one
+gather from the exp/log tables of its field.  Both are kept in bounded
+caches, so applying g is one gather and one field multiplication.  The
+compiler factors every point on the bottom row of rep(x) L g, L g the
+primitive integer form of g, in exact Python integers.  `_coset_factor` is
+the same factorisation of one product rep(x) g through `padicmat.iwasawa`,
+and `evaluate` applies it to a single group element: they are the reference
+the tables are tested against.  The pro-p Iwahori keeps the level, so its
+fixed vectors are read off the orbits of its tables
+(`exactfield.monomial_fixed`).  Refinement to a finer level is a gather
+through a cached index of point reductions.
 """
 
 from __future__ import annotations
@@ -182,9 +185,12 @@ def _raised_level(g: Mat2, level: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _action_table(g: Mat2, chi: TorusCharacter, level: int):
-    """Right translation by g from `level` as a monomial table (src, coef):
-    (g . f).table = coef * f.table[src] at level + level_shift(g).
+def _geometry(g: Mat2, level: int):
+    """The character-free part of right translation by g from `level`:
+    (src, torus, key).  The point i of the raised level level + level_shift(g)
+    factors as rep(i) g = b . rep(src[i]), and torus[:, key[i]] holds
+    (va, ra, vd, rd), the valuations and unit residues mod p of the diagonal
+    entries alpha, delta of b.  Read-only, shared by every character.
 
     Every point is factored in Python integers, as `_coset_factor` factors
     rep(x) g.  With L the common denominator of g's entries and
@@ -193,9 +199,9 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     at [1 : p y], where det rep(x) = -1.  If v(D') <= v(C'), then x' = C'/D' and
     b = [[det rep(x) det(g) L / D', *], [0, D' / L]]; otherwise
     p y' = D'/C' and b = [[-det rep(x) det(g) L / C', *], [0, C' / L]].
-    chi(b) depends only on the sign, the valuation and the unit residue mod p
-    of D' (or C'), so it is computed once per such key."""
-    p = chi.p
+    The diagonal of b depends only on the sign, the valuation and the unit
+    residue mod p of D' (or C'), so torus has one column per such key."""
+    p = g.p
     L, (A, B, C, D) = g.integral_form()
     vl, ul = vp_split(L, p)
     vdet, udet = vp_split(A * D - B * C, p)
@@ -204,8 +210,8 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
     rows += [(A + p * y * C, B + p * y * D, -1) for y in range(p ** (new_level - 1))]
     q, q_inf = p**level, p ** (level - 1)
     src = np.empty(len(rows), dtype=np.intp)
-    coef = np.empty(len(rows), dtype=np.int64)
-    chi_b = {}
+    key = np.empty(len(rows), dtype=np.intp)
+    keys = {}
     for i, (c, d, sign) in enumerate(rows):
         e, u = vp_split(d, p) if d else (0, 0)
         if d and c % p**e == 0:  # the affine branch: x' = C'/D'
@@ -214,16 +220,25 @@ def _action_table(g: Mat2, chi: TorusCharacter, level: int):
             e, u = vp_split(c, p)
             sign = -sign
             src[i] = q + d // p ** (e + 1) * pow(u, -1, q_inf) % q_inf
-        key = (sign, e, u % p)
-        if key not in chi_b:
-            # b.a = sign det(L g) / (L D') and b.d = D' / L, D' = p^e u
-            r = u % p
-            chi_b[key] = chi.value_parts(vdet - vl - e, sign * udet * pow(ul * r, -1, p) % p,
-                                         e - vl, r * pow(ul, -1, p) % p).code
-        coef[i] = chi_b[key]
-    # shared by every caller with an equal key
-    src.flags.writeable = False
-    coef.flags.writeable = False
+        key[i] = keys.setdefault((sign, e, u % p), len(keys))
+    # b.a = sign det(L g) / (L D') and b.d = D' / L, D' = p^e u
+    torus = np.array([(vdet - vl - e, sign * udet * pow(ul * r, -1, p) % p,
+                       e - vl, r * pow(ul, -1, p) % p) for sign, e, r in keys],
+                     dtype=np.int64).T
+    for arr in (src, torus, key):
+        arr.flags.writeable = False
+    return src, torus, key
+
+
+@lru_cache(maxsize=1024)
+def _action_table(g: Mat2, chi: TorusCharacter, level: int):
+    """Right translation by g from `level` as a monomial table (src, coef):
+    (g . f).table = coef * f.table[src] at level + level_shift(g).  src is
+    the geometry's, and coef = chi(b) is one gather of chi's values at the
+    geometry's torus keys."""
+    src, torus, key = _geometry(g, level)
+    coef = chi.value_codes(torus)[key]
+    coef.flags.writeable = False  # shared by every caller with an equal key
     return src, coef
 
 
@@ -284,15 +299,12 @@ def refine_matrix(chi: TorusCharacter, N: int, to_level: int):
 
 
 def i1_invariants(chi: TorusCharacter, N: int) -> list:
-    """Basis of the pro-p-Iwahori-fixed vectors at level N."""
-    field = chi.field
-    eye = np.eye(chi.p**N + chi.p ** (N - 1), dtype=np.int64)
-    blocks = []
-    for g in i1_generators(chi.p, N):
-        M = action_matrix(chi, g, N)
-        blocks.append(xf.sub(field, M, eye))
-    kern = xf.kernel_codes(field, np.concatenate(blocks))
-    return [PSFunction(chi, N, row) for row in kern]
+    """Basis of the pro-p-Iwahori-fixed vectors at level N: the generators
+    lie in K, so they keep the level and act by monomial tables, and the
+    basis is read off their orbits."""
+    tables = [_action_table(g, chi, N) for g in i1_generators(chi.p, N)]
+    fixed = xf.monomial_fixed(chi.field, tables, chi.p**N + chi.p ** (N - 1))
+    return [PSFunction(chi, N, row) for row in fixed]
 
 
 def eigen_relation(chi: TorusCharacter) -> FieldElem:

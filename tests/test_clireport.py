@@ -18,6 +18,7 @@ from gl2borel.clireport import (
     parse_argv,
     run_command,
 )
+from gl2borel.fqweights import Weight, intertwiner_dimension
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -304,7 +305,80 @@ REPORT_DIGESTS = {
         (0, "aef93274d45152946496cafcfa108a80eb59bdf8caaeefb1073a714a184d786a"),
     ("generation", "--p", "5", "--trials", "2"):
         (0, "5522331c602f178433ec1591e1b48ff8944028b6441a06d23f5b16aaae74d234"),
+    # the character values of the principal-series tables through the
+    # exp/log tables at q - 1 = 4 and q - 1 = 12
+    ("pseries", "--p", "5", "--trials", "20"):
+        (0, "6f5396c69e578dad01db8460d23c650121844f68b131c0a63b965ab82da78180"),
+    ("pseries", "--p", "13", "--trials", "20"):
+        (0, "70060f3f6fd84377710704af334e788dd6cfb25e7b3263484da527acd31ee1f3"),
 }
+
+
+def _weights_solves(p, monkeypatch):
+    """Run suite_weights at p; return its checks by name and the set of
+    weight pairs ((r, m), (r', m')) whose intertwiners it solved."""
+    import gl2borel.clireport as cr
+
+    keys = {}
+    for r in range(p):
+        for m in range(max(p - 1, 1)):
+            gens = Weight(p, r, m).k_module().gens
+            keys[tuple((k, v.tobytes()) for k, v in sorted(gens.items()))] = (r, m)
+    solved = []
+
+    def recording(field, gens1, gens2, dim1, dim2):
+        solved.append(tuple(keys[tuple((k, v.tobytes()) for k, v in sorted(g.items()))]
+                            for g in (gens1, gens2)))
+        return intertwiner_dimension(field, gens1, gens2, dim1, dim2)
+
+    monkeypatch.setattr(cr, "intertwiner_dimension", recording)
+    checks = {c["name"]: c["status"] for c in cr.suite_weights(parse_argv(["weights", "--p", str(p)]))}
+    return checks, set(solved)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_weights_distinct_solves_only_colliding_fixed_lines(p, monkeypatch):
+    """weights-distinct solves exactly the pairs whose I1-fixed lines have
+    equal exponents (r + m, m) mod p - 1; the full pairwise solve finds no
+    intertwiner for any other pair, so the shortcut and the full solve give
+    the same verdict."""
+    n = max(p - 1, 1)
+    weights = [Weight(p, r, m) for r in range(p) for m in range(n)]
+    mods = [w.k_module() for w in weights]
+    full = {}
+    for i, (w1, mod1) in enumerate(zip(weights, mods)):
+        for w2, mod2 in zip(weights[i + 1:], mods[i + 1:]):
+            full[(w1.r, w1.m), (w2.r, w2.m)] = intertwiner_dimension(
+                w1.field, mod1.gens, mod2.gens, w1.dim, w2.dim)
+    colliding = {(a, b) for a, b in full
+                 if ((a[0] + a[1]) % n, a[1]) == ((b[0] + b[1]) % n, b[1])}
+    checks, solved = _weights_solves(p, monkeypatch)
+    assert checks["weights-fixed-line"] == checks["weights-irreducible"] == "pass"
+    assert solved == colliding
+    assert len(colliding) == (p - 1 if p > 2 else 1)
+    assert all(d == 0 for pair, d in full.items() if pair not in colliding)
+    assert (checks["weights-distinct"] == "pass") == all(d == 0 for d in full.values())
+
+
+@pytest.mark.parametrize("broken", ["fixed-line", "irreducible"])
+def test_weights_distinct_solves_every_pair_when_a_premise_fails(broken, monkeypatch):
+    """If weights-fixed-line or weights-irreducible fails, the exponent
+    argument does not hold, and weights-distinct solves every pair."""
+    import gl2borel.clireport as cr
+    from types import SimpleNamespace
+
+    p = 3
+    if broken == "fixed-line":
+        real = Weight.i1_fixed_line
+        monkeypatch.setattr(Weight, "i1_fixed_line", lambda w: (
+            real(w)[0], (0, 0) if (w.r, w.m) == (1, 1) else real(w)[1]))
+    else:
+        monkeypatch.setattr(cr, "is_irreducible",
+                            lambda mod: SimpleNamespace(status="reducible", detail="-"))
+    checks, solved = _weights_solves(p, monkeypatch)
+    assert checks[f"weights-{broken}"] == "fail"
+    count = p * (p - 1)
+    assert len(solved) == count * (count - 1) // 2
 
 
 @pytest.mark.parametrize("args", list(REPORT_DIGESTS), ids=" ".join)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,8 @@ from gl2borel.padicmat import (
     upper_u,
     vertex_normalize,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -408,6 +414,33 @@ def test_translates_share_one_vertex_object():
         assert images[0] is images[1] is listed[images[0]]
     codes = next(iter(phi.support.values()))
     assert next(iter(CindElement.from_codes(w, phi.support).support.values())) is codes
+
+
+_BALL_7_SHARING = """
+from gl2borel import compactind as ci
+from gl2borel.padicmat import diag, lower_u, s_mat, upper_u
+p = 3
+ball = ci.ball_vertices(p, 7)
+listed = {v: v for v in ball}
+for g in (s_mat(p), upper_u(p, 1), lower_u(p, p), diag(p, 2, 1)):
+    G, u = ci._integer_form(g)
+    for v in ball:
+        nv, _ = ci._translate_vertex(p, G, u, v.int_form())
+        assert listed[nv] is nv, (g, v)
+info = ci._vertex.cache_info()
+assert len(ball) == 4373 and info.misses == info.currsize == len(ball), info
+"""
+
+
+def test_radius_7_ball_shares_vertex_objects():
+    """The radius-7 ball at p=3, which the word-length-6 generation frames
+    cover, fits the vertex cache: K-translates of its vertices are the very
+    objects ball_vertices lists, and no entry was evicted (every miss is
+    still cached).  A fresh interpreter, so that no other test has filled
+    the cache."""
+    proc = subprocess.run([sys.executable, "-c", _BALL_7_SHARING], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

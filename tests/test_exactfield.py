@@ -9,6 +9,10 @@ from gl2borel.exactfield import (
     CachedSolver,
     Field,
     IncrementalSpan,
+    _code_poly,
+    _poly_code,
+    _poly_mod,
+    _poly_mul,
     add,
     invert_matrix_codes,
     kernel_codes,
@@ -16,6 +20,7 @@ from gl2borel.exactfield import (
     mat_vec_codes,
     matrix_relation_kernel,
     monomial_commutant,
+    monomial_fixed,
     mul,
     rank_codes,
     rref,
@@ -192,6 +197,16 @@ def _monomial_matrix(src, coef):
     return A
 
 
+def _assert_orbit_fixed(F, n, tables):
+    """monomial_fixed is kernel_codes of the stacked A - I, entry for entry
+    and in order."""
+    eye = np.eye(n, dtype=np.int64)
+    stacked = np.concatenate([sub(F, _monomial_matrix(src, coef), eye) for src, coef in tables])
+    fixed = monomial_fixed(F, tables, n)
+    assert fixed.dtype == np.int64
+    assert np.array_equal(fixed, kernel_codes(F, stacked))
+
+
 def _assert_orbit_commutant(F, n, tables):
     """The orbit basis spans the commutant that matrix_relation_kernel finds
     from the dense maps, and each basis matrix commutes with each map."""
@@ -225,6 +240,7 @@ def _monomial_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(_monomial_sets())
 def test_monomial_commutant_matches_relation_kernel(case):
+    _assert_orbit_fixed(*case)
     _assert_orbit_commutant(*case)
 
 
@@ -239,8 +255,9 @@ def test_monomial_commutant_on_action_tables(p):
     for chi in (default_asymmetric_character(p), TorusCharacter.trivial(Field(p))):
         for level in (1, 2, 3) if p == 2 else (1, 2):
             n = p**level + p ** (level - 1)
-            _assert_orbit_commutant(chi.field, n,
-                                    [ps.action_table(chi, g, level) for g in gens])
+            tables = [ps.action_table(chi, g, level) for g in gens]
+            _assert_orbit_fixed(chi.field, n, tables)
+            _assert_orbit_commutant(chi.field, n, tables)
 
 
 def test_monomial_commutant_rejects_bad_tables():
@@ -251,6 +268,19 @@ def test_monomial_commutant_rejects_bad_tables():
         monomial_commutant(F, [(np.array([0, 0, 1]), np.ones(3, dtype=np.int64))], 3)
     with pytest.raises(ValueError, match="permutation"):
         monomial_commutant(F, [(np.arange(2), np.ones(2, dtype=np.int64))], 3)
+
+
+def test_monomial_fixed_rejects_bad_tables():
+    F = Field(5)
+    for coef in ([1, 0, 2], [1, 5, 2], [1, -1, 2]):  # zero, and codes outside the field
+        with pytest.raises(ValueError, match="nonzero"):
+            monomial_fixed(F, [(np.arange(3), np.array(coef))], 3)
+    with pytest.raises(ValueError, match="permutation"):
+        monomial_fixed(F, [(np.array([0, 0, 1]), np.ones(3, dtype=np.int64))], 3)
+    with pytest.raises(ValueError, match="permutation"):
+        monomial_fixed(F, [(np.arange(2), np.ones(2, dtype=np.int64))], 3)
+    with pytest.raises(ValueError, match="permutation"):
+        monomial_fixed(F, [(np.array([0, 1, 3]), np.ones(3, dtype=np.int64))], 3)
 
 
 def test_rref_determinism_and_rank():
@@ -325,6 +355,65 @@ def test_engine_products_match_sympy_galoistools(p, k):
     b = [rng.randrange(F.size) for _ in range(40)]
     want = [code(gf_rem(gf_mul(poly(x), poly(y), p, ZZ), modulus, p, ZZ)) for x, y in zip(a, b)]
     assert mul(F, a, b).tolist() == want
+
+
+def _ref_poly_mul(F, a, b):
+    """a b as the product of code polynomials reduced mod the modulus: the
+    scalar product before the exp/log tables."""
+    p = F.p
+    prod = _poly_mul(_code_poly(a, p), _code_poly(b, p), p)
+    return _poly_code(_poly_mod(prod, F.modulus, p), p)
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_scalar_products_and_powers_match_polynomial_reference(p, k):
+    """Field.mul_codes and pow_code (exp/log over F_{p^k}, builtin pow over
+    F_p) against the polynomial product and sympy's galoistools; powers go
+    through FieldElem.__pow__, with 0, 1 and negative exponents."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem, gf_strip
+
+    F = Field(p, k)
+    q = F.size
+    modulus = [int(c) for c in reversed(F.modulus)]  # galoistools: leading first
+
+    def poly(code):
+        return gf_strip([code // p**i % p for i in reversed(range(k))])
+
+    def code(poly_big_endian):
+        return sum(int(c) * p**i for i, c in enumerate(reversed(poly_big_endian)))
+
+    rng = random.Random(100 * p + k)
+    special = [0, 1, q - 1, min(p, q - 1)]
+    if q <= 64:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        pairs = [(a, b) for a in special for b in special]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+    for a, b in pairs:
+        want = _ref_poly_mul(F, a, b)
+        assert F.mul_codes(a, b) == want == code(gf_rem(gf_mul(poly(a), poly(b), p, ZZ),
+                                                         modulus, p, ZZ)), (a, b)
+    exponents = [0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 1, 10**6 + 3]
+    exponents += [-n for n in exponents if n] + [rng.randrange(-3 * q, 3 * q) for _ in range(6)]
+    for a in special + [rng.randrange(q) for _ in range(12)]:
+        x = F.from_code(a)
+        for n in exponents:
+            if a == 0 and n < 0:
+                with pytest.raises(ZeroDivisionError):
+                    x ** n
+                continue
+            # a^n = a^(n mod q - 1) by square-and-multiply of polynomials
+            m = n % (q - 1) if a else n
+            want, base = 1, a
+            while m:
+                if m & 1:
+                    want = _ref_poly_mul(F, want, base)
+                base, m = _ref_poly_mul(F, base, base), m >> 1
+            m = n % (q - 1) if a else n
+            assert (x ** n).code == want == code(gf_pow_mod(poly(a), m, modulus, p, ZZ)), (a, n)
+            if n >= 0:
+                assert F.pow_code(a, n) == want
 
 
 def _ref_relation_kernel_dim(F, pairs, dim_in, dim_out):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -183,6 +184,28 @@ def test_value_upper_matches_diag_part():
                                                  b.d.valuation, b.d.unit_residue())
     with pytest.raises(ValueError):
         chi.value_upper(lower_u(3, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_value_parts_matches_power_product(p):
+    """value_parts and value_codes (discrete logs) against the power product
+    s1^va s2^vd ra^i1 rd^i2 of field elements, negative valuations included,
+    for every character the pseries suite checks."""
+    from gl2borel.clireport import _char_family
+
+    rng = random.Random(p)
+    units = range(1, p)
+    cases = [(va, ra, vd, rd) for va in (-2, 0, 1) for vd in (-1, 0, 3)
+             for ra, rd in ((1, 1), (p - 1, 1), (1, p - 1))]
+    cases += [(rng.randint(-6, 6), rng.choice(units), rng.randint(-6, 6), rng.choice(units))
+              for _ in range(30)]
+    for chi in _char_family(p):
+        F = chi.field
+        for va, ra, vd, rd in cases:
+            want = chi.s1**va * chi.s2**vd * F.from_int(ra) ** chi.i1 * F.from_int(rd) ** chi.i2
+            assert chi.value_parts(va, ra, vd, rd) == want, (chi, va, ra, vd, rd)
+        got = chi.value_codes(np.array(cases, dtype=np.int64).T)
+        assert got.tolist() == [chi.value_parts(*c).code for c in cases]
 
 
 def test_primitive_roots():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2borel import exactfield as xf
 from gl2borel import principalseries as ps
 from gl2borel.exactfield import Field
 from gl2borel.fqweights import TorusCharacter
@@ -364,6 +365,45 @@ def test_action_table_cache_hit_and_bound():
     for k in range(bound + 16):
         ps_act(upper_u(p, k), h)
     assert ps._action_table.cache_info().currsize <= bound
+
+
+def test_characters_share_one_geometry_and_the_cache_is_bounded():
+    """The character-free geometry of an equal (g, level) is one object for
+    every character, over F_p and over its extensions; tables of different
+    characters share its src, and the geometry cache stays within its bound."""
+    p = 3
+    g = upper_u(p, 1) * t_mat(p)
+    twin = Mat2(p, g.a, g.b, g.c, g.d)
+    geometry = ps._geometry(g, 2)
+    assert ps._geometry(twin, 2) is geometry
+    chars = [TorusCharacter(Field(p), 1, 0, 2, 1), TorusCharacter(Field(p), 0, 1, 1, 2),
+             TorusCharacter(Field(p, 2), 1, 1, [0, 1], 2)]
+    tables = [ps.action_table(chi, twin, 2) for chi in chars]
+    assert all(src is geometry[0] for src, _ in tables)
+    assert len({coef.tobytes() for _, coef in tables}) == len(chars)
+    assert not any(arr.flags.writeable for arr in geometry)
+    bound = ps._geometry.cache_info().maxsize
+    for k in range(bound + 16):
+        ps._geometry(upper_u(p, k), 1)
+    assert ps._geometry.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_i1_invariants_match_stacked_kernel(p):
+    """The orbit basis of i1_invariants is kernel_codes of the stacked
+    (A - I) over the I1 generators, entry for entry and in order, for every
+    character the pseries suite checks."""
+    from gl2borel.clireport import _char_family
+    from gl2borel.compactind import i1_generators
+
+    for chi in _char_family(p):
+        for N in (1, 2, 3) if p <= 3 else (1, 2):
+            dim = p**N + p ** (N - 1)
+            eye = np.eye(dim, dtype=np.int64)
+            stacked = np.concatenate([xf.sub(chi.field, action_matrix(chi, g, N), eye)
+                                      for g in i1_generators(p, N)])
+            got = np.array([f.table for f in i1_invariants(chi, N)], dtype=np.int64)
+            assert np.array_equal(got.reshape(-1, dim), xf.kernel_codes(chi.field, stacked))
 
 
 # ---------------------------------------------------------------------------
