@@ -255,25 +255,16 @@ def span_closure(model, v, gens):
     radius/level), each basis vector with the group word carrying v onto it."""
     if model.is_zero(v):
         return [], []
-    basis, words = [v], [Mat2.identity(model.p)]
-    frame = model.frame(basis)
-    span = xf.IncrementalSpan(model.field, frame.dim, frame.matrix(basis))
-    frontier = list(zip(basis, words))
+    frame = model.frame([v])
+    span = xf.IncrementalSpan(model.field, frame.dim)
+    span.add(frame.matrix([v]))
+    found = frontier = [(v, Mat2.identity(model.p))]
     for _ in range(40):  # safety bound on the rounds of growth
-        new = []
-        for g in gens:
-            for v, word in frontier:
-                new.append((model.act(g, v), g * word))
-        grown = []
-        rows = frame.matrix([cand for cand, _ in new])
-        for (cand, word), row in zip(new, rows):
-            if span.add(row):
-                basis.append(cand)
-                words.append(word)
-                grown.append((cand, word))
-        if not grown:
-            return basis, words
-        frontier = grown
+        new = [(model.act(g, u), g * word) for g in gens for u, word in frontier]
+        frontier = [new[i] for i in span.add(frame.matrix([u for u, _ in new]))]
+        if not frontier:
+            return [u for u, _ in found], [word for _, word in found]
+        found = found + frontier
     raise RuntimeError("span closure did not stabilize")
 
 
@@ -595,6 +586,9 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
     level: W_{d+1} = W_d + sum_g g B_d, where B_d holds the vectors that were
     new at depth d.  This is the span of all words, because g W_{d-1} lies in
     W_d, so only the span's new directions are acted on, not |gens|^d words.
+    A depth keeps the new vectors whose frame rows form the row rank profile
+    modulo W_d (Dumas, Pernet and Sultan, "Simultaneous computation of the
+    row and column rank profiles", ISSAC 2013), as IncrementalSpan.add does.
     Each depth's frame has the largest radius among the basis, the vectors
     just generated and the targets, which is often smaller than the largest
     radius over all words; ranks are still exact, since a frame's rows are
@@ -633,8 +627,9 @@ def p_generation_evidence(model: CindModel, trials: int, r_target: int,
         for depth in range(word_length + 1):
             frame = model.frame(basis + new + targets)
             rows = frame.matrix(basis + new)
-            span = xf.IncrementalSpan(model.field, frame.dim, rows[:len(basis)])
-            fresh = [v for v, row in zip(new, rows[len(basis):]) if span.add(row)]
+            span = xf.IncrementalSpan(model.field, frame.dim)
+            span.add(rows[:len(basis)])
+            fresh = [new[i] for i in span.add(rows[len(basis):])]
             basis += fresh
             covered = word_length > 0 and not np.any(span.reduce(frame.matrix(targets)))
             if covered or depth == word_length:

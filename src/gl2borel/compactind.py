@@ -731,5 +731,5 @@ def i1_fixed_ball(weight: Weight, R: int, ideal: HeckeIdeal | None = None) -> li
     # in the quotient, keep one representative per class: the normal forms
     # of the kernel modulo the ideal image (which is stable under the compact
     # action), without those that die in the quotient or repeat a class
-    span = xf.IncrementalSpan(field, ball.dim)
-    return [ball.elem(row) for row in reduce_fn(kern) if span.add(row)]
+    rows = reduce_fn(kern)
+    return [ball.elem(rows[i]) for i in xf.IncrementalSpan(field, ball.dim).add(rows)]

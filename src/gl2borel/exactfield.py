@@ -25,7 +25,7 @@ elimination.
 
 One pivot loop, _eliminate, does every elimination, in one of two forms:
 - rref: the reduced echelon form alone.  kernel_codes and rank_codes read
-  it, and IncrementalSpan is seeded with it;
+  it, and IncrementalSpan.add picks rows by the pivots of their transpose;
 - CachedSolver: the echelon form plus the row transform L with L A = R,
   grown one column per pivot.  solve_codes is one solve and the kernel of
   one factorization, and invert_matrix_codes returns L.
@@ -688,19 +688,14 @@ def basis_coordinates(field: Field, basis_rows: np.ndarray, images) -> list:
 
 
 class IncrementalSpan:
-    """A subspace kept in reduced echelon form: seeded with one rref of
-    `rows`, then grown one vector at a time by add.  The rows are in the
-    order their leads were found, every lead column is a unit vector, and
-    reduce gives representatives modulo the span."""
+    """A subspace in reduced echelon form, grown a batch of rows at a time by
+    add.  Rows are in the order their leads were found, every lead column is
+    a unit vector, and reduce gives representatives modulo the span."""
 
-    def __init__(self, field: Field, dim: int, rows=None):
+    def __init__(self, field: Field, dim: int):
         self.field = field
-        self.width = dim
         self.rows = np.zeros((0, dim), dtype=np.int64)
         self.leads = []
-        if rows is not None:
-            R, self.leads = rref(field, rows)
-            self.rows = R[: len(self.leads)]
 
     def reduce(self, M) -> np.ndarray:
         """The rows of M minus their components along the span: every lead
@@ -709,18 +704,29 @@ class IncrementalSpan:
         M = np.asarray(M, dtype=np.int64)
         return sub(self.field, M, _matmul(self.field, M[:, self.leads], self.rows))
 
-    def add(self, vec) -> bool:
-        """Insert the vector; True when it enlarged the span."""
-        v = self.reduce(np.asarray(vec)[None, :])[0]
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        v = mul(self.field, v, self.field.inv_code(int(v[lead])))
-        reduced = sub(self.field, self.rows, mul(self.field, self.rows[:, lead, None], v))
-        self.rows = np.concatenate([reduced, v[None, :]])
-        self.leads.append(lead)
-        return True
+    def add(self, rows) -> list:
+        """Insert the rows of a matrix; returns, in order, the indices of the
+        rows that inserting them one at a time would keep: all of them when
+        they are independent modulo the span, else their row rank profile,
+        the pivots of one rref of the transpose (Dumas, Pernet and Sultan,
+        ISSAC 2013).  It runs on the columns where the rows or span are nonzero."""
+        field, M = self.field, np.asarray(rows, dtype=np.int64)
+        cols = np.flatnonzero(M.any(axis=0) | self.rows.any(axis=0))
+        X = sub(field, M[:, cols], _matmul(field, M[:, self.leads], self.rows[:, cols]))
+        live = X.any(axis=0)
+        cols, X = cols[live], X[:, live]
+        if not X.size:  # X keeps its nonzero columns only: empty exactly at rank 0
+            return []
+        E, piv = rref(field, X)
+        picked = list(range(len(X))) if len(piv) == len(X) else rref(field, X.T)[1]
+        E, leads = E[:len(piv)], cols[piv]
+        self.rows[:, cols] = sub(field, self.rows[:, cols], _matmul(field, self.rows[:, leads], E))
+        grown = np.zeros((len(self.rows) + len(piv), self.rows.shape[1]), dtype=np.int64)
+        grown[:len(self.rows)] = self.rows
+        grown[len(self.rows):, cols] = E
+        self.rows = grown
+        self.leads += leads.tolist()
+        return picked
 
 
 def matrix_relation_kernel(field: Field, pairs, dim_in: int, dim_out: int):

@@ -281,17 +281,14 @@ class FiniteKModule:
         return bool(ok)
 
     def span_closure(self, rows: np.ndarray) -> np.ndarray:
-        """Smallest K-stable subspace containing the given row vectors,
-        returned as an RREF basis (rows)."""
-        basis = xf.IncrementalSpan(self.field, self.dim, rows).rows
-        while True:
-            new = [basis]
-            for A in self.gens.values():
-                new.append(xf.mat_mul_codes(self.field, basis, A.T))
-            bigger = xf.IncrementalSpan(self.field, self.dim, np.concatenate(new)).rows
-            if bigger.shape[0] == basis.shape[0]:
-                return basis
-            basis = bigger
+        """Smallest K-stable subspace containing the given row vectors, as
+        an RREF basis (rows), by spin-up: only new rows are acted on."""
+        span = xf.IncrementalSpan(self.field, self.dim)
+        new = np.asarray(rows, dtype=np.int64)
+        while len(new := new[span.add(new)]):
+            new = np.concatenate([xf.mat_mul_codes(self.field, new, A.T)
+                                  for A in self.gens.values()])
+        return span.rows[np.argsort(span.leads)]
 
 
 def induce_from_iwahori(chi: TorusCharacter) -> FiniteKModule:

@@ -258,6 +258,10 @@ def test_cli_in_subprocess():
 # pin whose quotient frames reach radius 5 at p=5, was recorded while those
 # frames were still ranked against the rref of the ball-wide ideal matrix,
 # before they were read off the sphere-by-sphere normal form.
+# `generation --p 3 --trials 20 --word-length 6` (every trial covers) and
+# `generation --p 5 --trials 20` (inconclusive trials at p=5) were recorded
+# while spans still grew one vector at a time, before one batched
+# IncrementalSpan.add picked the rows that enlarge a span.
 REPORT_DIGESTS = {
     ("pseries", "--p", "2", "--trials", "20"):
         (0, "45c4f661046001bf16cfed5c2d699bc155a310bd1f93d8c16c237bbf547d56b4"),
@@ -305,6 +309,10 @@ REPORT_DIGESTS = {
         (0, "aef93274d45152946496cafcfa108a80eb59bdf8caaeefb1073a714a184d786a"),
     ("generation", "--p", "5", "--trials", "2"):
         (0, "5522331c602f178433ec1591e1b48ff8944028b6441a06d23f5b16aaae74d234"),
+    ("generation", "--p", "3", "--trials", "20", "--word-length", "6"):
+        (0, "2a762c05e92e14abd6189998f424cc6823e89268bf7e56d9253fba94878a854e"),
+    ("generation", "--p", "5", "--trials", "20"):
+        (3, "9fc3772ef64eaacfdb206b146098d57b1c9d5b5e98586f415f2b794e357f1a5b"),
     # the character values of the principal-series tables through the
     # exp/log tables at q - 1 = 4 and q - 1 = 12
     ("pseries", "--p", "5", "--trials", "20"):

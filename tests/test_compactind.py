@@ -246,8 +246,7 @@ def test_i1_fixed_ball_examples():
     from gl2borel.exactfield import IncrementalSpan
     ball = BallIndex(w, 1)
     span = IncrementalSpan(w.field, ball.dim)
-    for b in basis1:
-        span.add(ball.coords(b))
+    span.add(np.stack([ball.coords(b) for b in basis1]))
     assert not np.any(span.reduce(np.stack([ball.coords(hecke_T(phi)), ball.coords(phi)])))
 
 
@@ -762,7 +761,9 @@ def test_normal_form_matches_dense_reduction(w):
             M = np.array(images + rows + [xf.add(field, images[0], rows[0]),
                                           xf.sub(field, rows[1], images[2])])
             nf = normal_form_rows(ideal, ball, M)
-            ref = xf.IncrementalSpan(field, ball.dim, A.T).reduce(M)
+            span = xf.IncrementalSpan(field, ball.dim)
+            span.add(A.T)
+            ref = span.reduce(M)
             for n in range(1, len(M) + 1):
                 assert xf.rank_codes(field, nf[:n]) == xf.rank_codes(field, ref[:n]), (spec, R, n)
             assert not nf[:len(images)].any()

@@ -164,10 +164,10 @@ def test_cached_solver_matches_direct():
 def test_incremental_span():
     F = Field(5)
     span = IncrementalSpan(F, 4)
-    assert span.add([1, 2, 0, 0])
-    assert not span.add([2, 4, 0, 0])
-    assert span.add([0, 0, 1, 1])
-    assert len(span.leads) == 2
+    assert span.add([[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 1, 1]]) == [0, 2]
+    assert span.add([[0, 0, 3, 3], [1, 2, 1, 1]]) == []
+    assert span.add([[0, 0, 0, 0], [0, 0, 0, 1]]) == [1]
+    assert len(span.leads) == 3
     assert not np.any(span.reduce([[3, 1, 2, 2]]))
     assert np.any(span.reduce([[0, 1, 0, 0]]))
 
@@ -564,26 +564,120 @@ def test_cached_solver_matches_full_elimination(F):
                     assert cert is None and np.array_equal(x, x_ref)
 
 
+class _GreedySpan:
+    """The one-vector insertion that IncrementalSpan.add replaced: a row is
+    reduced modulo the span, and a nonzero remainder, scaled to lead 1, is
+    folded into every span row so that each lead column stays a unit vector."""
+
+    def __init__(self, F, dim):
+        self.F, self.rows, self.leads = F, np.zeros((0, dim), dtype=np.int64), []
+
+    def reduce(self, M):
+        M = np.asarray(M, dtype=np.int64)
+        return sub(self.F, M, mat_mul_codes(self.F, M[:, self.leads], self.rows))
+
+    def add(self, vec) -> bool:
+        F, v = self.F, self.reduce(np.asarray(vec)[None, :])[0]
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        lead = int(nz[0])
+        v = mul(F, v, F.inv_code(int(v[lead])))
+        reduced = sub(F, self.rows, mul(F, self.rows[:, lead, None], v))
+        self.rows = np.concatenate([reduced, v[None, :]])
+        self.leads.append(lead)
+        return True
+
+
+def _assert_add_matches_greedy(F, span, ref, rows, probe):
+    """Batched add into span picks the rows the greedy reference keeps, in
+    order; afterwards both hold one reduced echelon basis and reduce alike."""
+    assert span.add(rows) == [i for i, row in enumerate(rows) if ref.add(row)]
+    assert sorted(span.leads) == sorted(ref.leads)
+    assert np.array_equal(span.rows[np.argsort(span.leads)], ref.rows[np.argsort(ref.leads)])
+    assert np.array_equal(span.reduce(probe), ref.reduce(probe))
+
+
+def _with_zero_repeated_dependent(F, rng, rows):
+    """rows plus a zero row, a repeat and a sum of two rows, shuffled."""
+    m, n = rows.shape
+    extra = [np.zeros((1, n), dtype=np.int64)]
+    if m:
+        extra += [rows[rng.integers(m)][None, :],
+                  add(F, rows[rng.integers(m)], rows[rng.integers(m)])[None, :]]
+    out = np.concatenate([rows] + extra)
+    return out[rng.permutation(len(out))]
+
+
 @pytest.mark.parametrize("F", SOLVER_FIELDS, ids=repr)
-def test_incremental_span_seeded_matches_grown(F):
-    """A span seeded with one rref equals the span grown row by row, and its
-    reduce is M - M[:, pivots] U with (U, pivots) the rref of the rows."""
+def test_incremental_span_add_matches_greedy(F):
+    """Three batches into one span on every solver shape, the first as drawn
+    (independent at full rank), the others with zero, repeated and dependent
+    rows: the picks and the reduction of batched add are those of the
+    one-vector greedy add."""
     rng = np.random.default_rng(F.size + 1)
     for m, n, rank in SOLVER_SHAPES:
-        rows = _solver_case(F, rng, m, n, rank)
-        seeded = IncrementalSpan(F, n, rows)
-        grown = IncrementalSpan(F, n)
-        for row in rows:
-            grown.add(row)
-        order = np.argsort(grown.leads)
-        assert seeded.leads == sorted(grown.leads)
-        assert np.array_equal(seeded.rows, grown.rows[order])
-        R, piv = rref(F, rows)
-        U = R[: len(piv)]
-        M = rng.integers(0, F.size, size=(4, n))
-        expected = sub(F, M, mat_mul_codes(F, M[:, piv], U))
-        assert np.array_equal(seeded.reduce(M), expected)
-        assert np.array_equal(grown.reduce(M), expected)
+        span, ref = IncrementalSpan(F, n), _GreedySpan(F, n)
+        for extras in (False, True, True):
+            rows = _solver_case(F, rng, m, n, rank)
+            if extras:
+                rows = _with_zero_repeated_dependent(F, rng, rows)
+            _assert_add_matches_greedy(F, span, ref, rows, rng.integers(0, F.size, size=(4, n)))
+
+
+@st.composite
+def _span_batches(draw):
+    F = draw(st.sampled_from(SOLVER_FIELDS))
+    n = draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(0, F.size - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+    batches = draw(st.lists(st.lists(row, max_size=8), min_size=1, max_size=4))
+    return F, n, [np.array(b, dtype=np.int64).reshape(len(b), n) for b in batches]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_span_batches())
+def test_incremental_span_add_property(case):
+    F, n, batches = case
+    span, ref = IncrementalSpan(F, n), _GreedySpan(F, n)
+    probe = np.eye(n, dtype=np.int64)
+    for rows in batches:
+        _assert_add_matches_greedy(F, span, ref, rows, probe)
+
+
+def _closure_by_re_elimination(mod, rows):
+    """The fixed-point loop FiniteKModule.span_closure replaced: the rref of
+    the basis and all its images, until the rank stops growing."""
+    F = mod.field
+
+    def basis_of(M):
+        R, piv = rref(F, M)
+        return R[:len(piv)]
+    basis = basis_of(rows)
+    while True:
+        bigger = basis_of(np.concatenate(
+            [basis] + [mat_mul_codes(F, basis, A.T) for A in mod.gens.values()]))
+        if len(bigger) == len(basis):
+            return basis
+        basis = bigger
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_closure_matches_re_elimination(p):
+    """The spin-up span_closure returns the bytes of the loop that
+    re-eliminated the whole basis each round, on Ind_I^K chi for every chi
+    with trivial residue scalars, from unit vectors, random vectors and a
+    zero row."""
+    F = Field(p)
+    rng = np.random.default_rng(p)
+    for i1 in range(max(p - 1, 1)):
+        for i2 in range(max(p - 1, 1)):
+            mod = induce_from_iwahori(TorusCharacter(F, i1, i2, 1, 1))
+            starts = [np.eye(mod.dim, dtype=np.int64)[[j]] for j in range(mod.dim)]
+            starts += [rng.integers(0, p, size=(2, mod.dim)), np.zeros((1, mod.dim), dtype=np.int64)]
+            for rows in starts:
+                got, want = mod.span_closure(rows), _closure_by_re_elimination(mod, rows)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @st.composite

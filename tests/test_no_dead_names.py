@@ -7,12 +7,15 @@ included).  The re-exports of src/gl2borel/__init__.py are not a use, and
 neither are tests: a name only tests reach is not part of the program.  The
 exceptions are the public API, gl2borel.__all__, and the names the
 acceptance tests import.  A method counts as used only where its name
-follows a dot (`.name`), so a bare word in a comment keeps nothing alive.
+follows a dot (`.name`), so a bare word in a comment keeps nothing alive,
+and not where that dot follows a module alias the file binds by an import
+(`xf.add`, `np.add`): that is a module attribute.
 Whatever this test names is deleted rather than kept alive by habit.
 """
 
 import ast
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import gl2borel
@@ -30,16 +33,49 @@ def _sources():
     return out
 
 
-def _unused(sources, path, nodes, pattern):
-    """The nodes of `path` whose name matches `pattern` nowhere in `sources`
+@lru_cache(maxsize=None)
+def _module_aliases(path):
+    """The names a file binds to modules by its imports: `np` in `import
+    numpy as np`, `xf` in `from . import exactfield as xf`."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "gl2borel"):
+            out |= {a.asname or a.name for a in node.names if (PACKAGE / f"{a.name}.py").exists()}
+    return out
+
+
+def _word(name):
+    """A bare mention of a top-level name."""
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return lambda line, path: word.search(line) is not None
+
+
+def _method_use(name):
+    """`.name` after anything but a module alias of the file."""
+    dot = re.compile(rf"\.{re.escape(name)}\b")
+    before = re.compile(r"(?<![\w.])(\w+)$")
+
+    def used(line, path):
+        for m in dot.finditer(line):
+            owner = before.search(line, 0, m.start())
+            if owner is None or owner[1] not in _module_aliases(path):
+                return True
+        return False
+    return used
+
+
+def _unused(sources, path, nodes, mention):
+    """The nodes of `path` that `mention(name)` finds nowhere in `sources`
     outside their own definition, as "file:line name"."""
     out = []
     for node in nodes:
-        word = re.compile(pattern.format(re.escape(node.name)))
+        used_in = mention(node.name)
         start = min([node.lineno] + [d.lineno for d in node.decorator_list])
         own = range(start - 1, node.end_lineno)
         used = any(
-            word.search(line)
+            used_in(line, other)
             for other, lines in sources.items()
             for i, line in enumerate(lines)
             if not (other == path and i in own)
@@ -62,7 +98,7 @@ def test_every_top_level_name_is_used():
     for path in sorted(PACKAGE.glob("*.py")):
         nodes = [n for n in ast.parse("\n".join(sources.get(path, []))).body
                  if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name not in exempt]
-        unused += _unused(sources, path, nodes, r"\b{}\b")
+        unused += _unused(sources, path, nodes, _word)
     assert not unused, "defined but not used by the program: " + ", ".join(unused)
 
 
@@ -74,5 +110,5 @@ def test_every_method_is_used_outside_tests():
             if isinstance(cls, ast.ClassDef):
                 methods = [n for n in cls.body
                            if isinstance(n, ast.FunctionDef) and not n.name.startswith("__")]
-                unused += _unused(sources, path, methods, r"\.{}\b")
+                unused += _unused(sources, path, methods, _method_use)
     assert not unused, "methods used by tests alone or not at all: " + ", ".join(unused)

@@ -159,14 +159,12 @@ def test_phi1_phi2_span_invariants(p):
     inv = i1_invariants(chi, 1)
     from gl2borel.exactfield import IncrementalSpan
     span = IncrementalSpan(chi.field, len(inv[0].table))
-    for b in inv:
-        span.add(b.table)
+    span.add(np.stack([b.table for b in inv]))
     assert in_span(span, make_phi1(chi).table)
     assert in_span(span, make_phi2(chi).table)
     # and they are independent
     span2 = IncrementalSpan(chi.field, len(inv[0].table))
-    assert span2.add(make_phi1(chi).table)
-    assert span2.add(make_phi2(chi).table)
+    assert span2.add(np.stack([make_phi1(chi).table, make_phi2(chi).table])) == [0, 1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
